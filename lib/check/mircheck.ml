@@ -585,13 +585,12 @@ let check_func ?(options = default_options) phase (fn : Mir.func) :
                  0 (Locs.reads model i)
              in
              let base = max ready (!prev + 1) in
-             let rvec = i.Mir.n_op.Model.i_rvec in
              let c = ref base in
-             while Scoreboard.conflict busy ~cycle:!c rvec do
+             while Scoreboard.conflict busy ~cycle:!c i.Mir.n_op do
                incr c
              done;
              stalls := !stalls + (!c - base);
-             Scoreboard.reserve busy ~cycle:!c rvec;
+             Scoreboard.reserve busy ~cycle:!c i.Mir.n_op;
              writers :=
                List.map (fun l -> (l, (i, !c))) (Locs.writes model i)
                @ !writers;

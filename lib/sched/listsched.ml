@@ -153,8 +153,7 @@ let schedule_block ?(options = default_options) ?oracle ?sb_stats
           dag.Dag.preds.(i)
       in
       let resources_free i =
-        let rvec = dag.Dag.insts.(i).Mir.n_op.Model.i_rvec in
-        not (Scoreboard.conflict busy ~cycle:!cycle rvec)
+        not (Scoreboard.conflict busy ~cycle:!cycle dag.Dag.insts.(i).Mir.n_op)
       in
       let class_ok i =
         match (dag.Dag.insts.(i).Mir.n_op.Model.i_class, !cur_class) with
@@ -228,7 +227,7 @@ let schedule_block ?(options = default_options) ?oracle ?sb_stats
             decr remaining;
             order := i :: !order;
             let inst = dag.Dag.insts.(i) in
-            Scoreboard.reserve busy ~cycle:!cycle inst.Mir.n_op.Model.i_rvec;
+            Scoreboard.reserve busy ~cycle:!cycle inst.Mir.n_op;
             (match inst.Mir.n_op.Model.i_class with
             | Some k -> (
                 match !cur_class with

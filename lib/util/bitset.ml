@@ -99,10 +99,14 @@ let inter_into ~dst src =
 
 let inter_empty a b =
   same_cap a b;
-  let rec go i =
-    i >= Array.length a.words || (a.words.(i) land b.words.(i) = 0 && go (i + 1))
-  in
-  go 0
+  let i = ref 0 in
+  let n = Array.length a.words in
+  while !i < n && a.words.(!i) land b.words.(!i) = 0 do
+    incr i
+  done;
+  !i = n
+
+let low_word t = t.words.(0)
 
 let equal a b = a.cap = b.cap && Array.for_all2 ( = ) a.words b.words
 

@@ -43,6 +43,10 @@ val inter_into : dst:t -> t -> unit
 val inter_empty : t -> t -> bool
 (** [inter_empty a b] is [true] iff [a] and [b] share no element. *)
 
+val low_word : t -> int
+(** Elements [0 .. Sys.int_size - 1] as the bits of one int: the whole
+    set when [capacity t <= Sys.int_size]. *)
+
 val equal : t -> t -> bool
 
 val cardinal : t -> int
