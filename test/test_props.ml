@@ -261,18 +261,28 @@ let gen_small_ints = QCheck2.Gen.(list_size (int_bound 20) (int_bound 63))
 
 let prop_bitset_model =
   QCheck2.Test.make ~name:"bitset agrees with a list model" ~count:200
-    QCheck2.Gen.(pair gen_small_ints gen_small_ints)
+    QCheck2.Gen.(
+      pair
+        (list_size (int_bound 20) (oneof [ int_bound 63; int_bound 199 ]))
+        (list_size (int_bound 20) (oneof [ int_bound 63; int_bound 199 ])))
     (fun (xs, ys) ->
-      let a = Bitset.of_list 64 xs and b = Bitset.of_list 64 ys in
-      let inter_empty_model =
-        not (List.exists (fun x -> List.mem x ys) xs)
-      in
+      (* a capacity of 200 spans four words, so the word loops of
+         inter_empty and inter_into see hits past the first word *)
+      let a = Bitset.of_list 200 xs and b = Bitset.of_list 200 ys in
+      let both = List.sort_uniq compare (List.filter (fun x -> List.mem x ys) xs) in
       let u = Bitset.copy a in
       Bitset.union_into ~dst:u b;
-      Bitset.inter_empty a b = inter_empty_model
-      && Bitset.to_list u
-         = List.sort_uniq compare (xs @ ys)
-      && Bitset.cardinal a = List.length (List.sort_uniq compare xs))
+      let i = Bitset.copy a in
+      Bitset.inter_into ~dst:i b;
+      (* a one-word set is its low word *)
+      let low = List.filter (fun x -> x < Sys.int_size) xs in
+      Bitset.inter_empty a b = (both = [])
+      && Bitset.inter_empty b a = (both = [])
+      && Bitset.to_list i = both
+      && Bitset.to_list u = List.sort_uniq compare (xs @ ys)
+      && Bitset.cardinal a = List.length (List.sort_uniq compare xs)
+      && Bitset.low_word (Bitset.of_list Sys.int_size low)
+         = List.fold_left (fun w x -> w lor (1 lsl x)) 0 low)
 
 (* word-wise range operations against the one-bit-at-a-time model, with a
    capacity that forces ranges to straddle word boundaries *)
