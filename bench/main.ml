@@ -646,9 +646,9 @@ let checker () =
   print_endline
     "all four phase points (post-select, post-regalloc, post-sched,";
   print_endline
-    "final). Each verifier call times itself into";
+    "final). The lint and every verifier call time themselves into the";
   print_endline
-    "Strategy.report.check_time, so the overhead below is measured";
+    "compile's profile (lint, verify:*), so the overhead below is measured";
   print_endline
     "directly rather than by differencing two noisy end-to-end runs.";
   print_newline ();
@@ -669,7 +669,10 @@ let checker () =
                   let _, report =
                     Strategy.compile model strat (Cgen.compile ~file src)
                   in
-                  check_t := !check_t +. report.Strategy.check_time)
+                  let p = report.Strategy.profile in
+                  check_t :=
+                    !check_t +. Profile.prefix_wall p "lint"
+                    +. Profile.prefix_wall p "verify:")
                 srcs
             done)
       in
@@ -710,7 +713,7 @@ let transval () =
   print_endline
     "linearization; Regval: symbolic lockstep execution). Capture and";
   print_endline
-    "check both time themselves into Strategy.report.validate_time, so";
+    "check both time themselves into the profile (validate:*), so";
   print_endline
     "the overhead is measured directly, not by differencing noisy runs.";
   print_newline ();
@@ -747,7 +750,9 @@ let transval () =
                     | _, report ->
                         incr cells;
                         validate_t :=
-                          !validate_t +. report.Strategy.validate_time;
+                          !validate_t
+                          +. Profile.prefix_wall report.Strategy.profile
+                               "validate:";
                         all_diags :=
                           List.rev_append report.Strategy.validate_diags
                             !all_diags
@@ -849,7 +854,7 @@ let parallel () =
   print_newline ();
   print_endline "Per-pass profile of one representative compile (rase, r2000, lfk7):";
   let _, report =
-    Strategy.compile ~dag_stats:true
+    Strategy.compile
       (List.assoc "r2000" targets)
       Strategy.Rase
       (Cgen.compile ~file:"lfk7" (Livermore.source 7))
@@ -1115,11 +1120,13 @@ let disambig () =
              where back-to-back wall timings of the same compile vary by
              double-digit percentages *)
           let compile ~disambig =
+            let config = { Strategy.default_config with disambig } in
             let c, _, cpu =
               time_both (fun () ->
                   let c = ref None in
                   for _ = 1 to reps do
-                    c := Some (Marion.compile ~disambig model Strategy.Ips ~file src)
+                    c :=
+                      Some (Marion.compile ~config model Strategy.Ips ~file src)
                   done;
                   Option.get !c)
             in

@@ -26,12 +26,11 @@
 
 type payload = {
   c_func : Mir.func;  (** the function after the full pipeline *)
-  c_stats : Pass.stats;  (** spills, schedule passes, estimates, budget *)
+  c_stats : Pass.stats;
+      (** spills, schedule passes, estimates, budget, DAG sizes *)
   c_diags : Diag.t list;  (** verifier diagnostics, oldest-first *)
   c_vdiags : Diag.t list;  (** validator diagnostics, oldest-first *)
   c_insts : int;  (** final instruction count (profile shape) *)
-  c_dag_nodes : int;  (** DAG sizes when the compile collected them *)
-  c_dag_edges : int;
 }
 
 type counters = {

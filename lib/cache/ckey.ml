@@ -186,7 +186,7 @@ let of_model model =
 (* ------------------------------------------------------------------ *)
 
 let of_pipeline ~strategy ~passes ~check ~def_use ~global_dataflow
-    ~hazard_replay ~validate ~dag_stats ~disambig =
+    ~hazard_replay ~validate ~disambig =
   let buf = Buffer.create 128 in
   add_int buf format_version;
   add_str buf strategy;
@@ -198,7 +198,9 @@ let of_pipeline ~strategy ~passes ~check ~def_use ~global_dataflow
   flag global_dataflow;
   flag hazard_replay;
   flag validate;
-  flag dag_stats;
+  (* the slot of a retired DAG-statistics flag, always off: keeping the
+     byte keeps every existing key *)
+  flag false;
   flag disambig;
   Digest.bytes (Buffer.to_bytes buf)
 

@@ -38,13 +38,14 @@ val of_model : Model.t -> t
 val of_pipeline :
   strategy:string -> passes:string list -> check:bool -> def_use:bool ->
   global_dataflow:bool -> hazard_replay:bool -> validate:bool ->
-  dag_stats:bool -> disambig:bool -> t
+  disambig:bool -> t
 (** Digest of the pipeline identity: strategy name, ordered pass names,
     and every flag that changes the generated code or a report (verifier
     on/off and its options — including the global-dataflow diagnostics —
-    translation validation, DAG statistics, and memory disambiguation,
-    which changes schedules, so [--no-disambig] and default compiles
-    never share an entry). *)
+    translation validation, and memory disambiguation, which changes
+    schedules, so [--no-disambig] and default compiles never share an
+    entry). Compiles derive the flags from their configuration through
+    [Strategy.pipeline_key], never by listing them by hand. *)
 
 val combine : t list -> t
 (** Order-sensitive combination of component digests into one key. *)

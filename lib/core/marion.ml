@@ -6,30 +6,18 @@ let load_target ~name ~file src = Builder.load ~name ~file src
 
 let parse_c ~file src = Cparse.parse ~file src
 
-let compile_ir ?check ?check_options ?validate ?jobs ?dag_stats ?disambig
-    ?cache ?on_error ?pass_timeout ?finject model strategy ir =
-  let prog, report =
-    Strategy.compile ?check ?check_options ?validate ?jobs ?dag_stats
-      ?disambig ?cache ?on_error ?pass_timeout ?finject model strategy ir
-  in
+let compile_ir ?config ?cache model strategy ir =
+  let prog, report = Strategy.compile ?config ?cache model strategy ir in
   { prog; report }
 
-let compile ?check ?check_options ?validate ?jobs ?dag_stats ?disambig ?cache
-    ?on_error ?pass_timeout ?finject model strategy ~file src =
-  compile_ir ?check ?check_options ?validate ?jobs ?dag_stats ?disambig
-    ?cache ?on_error ?pass_timeout ?finject model strategy
-    (Cgen.compile ~file src)
+let compile ?config ?cache model strategy ~file src =
+  compile_ir ?config ?cache model strategy (Cgen.compile ~file src)
 
 let run ?config { prog; _ } = Sim.run ?config prog
 
-let compile_and_run ?config ?check ?check_options ?validate ?jobs ?dag_stats
-    ?disambig ?cache ?on_error ?pass_timeout ?finject model strategy ~file
-    src =
-  let compiled =
-    compile ?check ?check_options ?validate ?jobs ?dag_stats ?disambig
-      ?cache ?on_error ?pass_timeout ?finject model strategy ~file src
-  in
-  { compiled; sim = run ?config compiled }
+let compile_and_run ?config ?cache model strategy ~file src =
+  let compiled = compile ?config ?cache model strategy ~file src in
+  { compiled; sim = run compiled }
 
 let lint = Marilint.lint
 

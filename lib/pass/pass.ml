@@ -12,6 +12,9 @@ type stats = {
   mutable an_facts : int;
   mutable an_queries : int;
   mutable an_pruned : int;
+  mutable dag_nodes : int;
+  mutable dag_edges : int;
+  mutable analysis : Disambig.t option;
 }
 
 type t = {
@@ -28,10 +31,11 @@ let fresh_stats () =
   { spilled = 0; sched_passes = 0; estimates = []; reg_budget = None;
     sb_probes = 0; sb_conflicts = 0; sb_reserves = 0;
     an_time = 0.0; an_solves = 0; an_iters = 0; an_facts = 0;
-    an_queries = 0; an_pruned = 0 }
+    an_queries = 0; an_pruned = 0; dag_nodes = 0; dag_edges = 0;
+    analysis = None }
 
 let run_pipeline ?guard ?(verify = fun _ _ -> ())
-    ?(snapshot = fun _ _ -> None) ?(validate = fun _ ~before:_ _ -> ())
+    ?(snapshot = fun _ _ -> None) ?(validate = fun _ _ ~before:_ _ -> ())
     ?(record = fun _ ~wall:_ ~cpu:_ -> ()) passes fn =
   let st = fresh_stats () in
   List.iter
@@ -51,8 +55,9 @@ let run_pipeline ?guard ?(verify = fun _ _ -> ())
       Option.iter
         (fun phase ->
           verify phase fn;
-          Option.iter (fun before -> validate phase ~before fn) before)
-        p.post)
+          Option.iter (fun before -> validate st phase ~before fn) before)
+        p.post;
+      st.analysis <- None)
     passes;
   st.estimates <- List.rev st.estimates;
   st

@@ -43,6 +43,14 @@ type stats = {
   mutable an_facts : int;  (** facts at the fixpoints *)
   mutable an_queries : int;  (** alias-oracle queries from DAG builds *)
   mutable an_pruned : int;  (** Mem edges pruned as provably independent *)
+  mutable dag_nodes : int;
+      (** code-DAG nodes built by this function's estimate pass *)
+  mutable dag_edges : int;  (** code-DAG edges built by the estimate pass *)
+  mutable analysis : Disambig.t option;
+      (** the alias analysis the running pass computed from its input,
+          handed to that pass's validator so it need not solve again;
+          {!run_pipeline} clears it after every pass, so it never
+          outlives the pass (nor reaches a cached copy of the stats) *)
 }
 
 type t = {
@@ -66,7 +74,7 @@ val run_pipeline :
   ?guard:(t -> (unit -> unit) -> unit) ->
   ?verify:(Diag.phase -> Mir.func -> unit) ->
   ?snapshot:(Diag.phase -> Mir.func -> Mir.func option) ->
-  ?validate:(Diag.phase -> before:Mir.func -> Mir.func -> unit) ->
+  ?validate:(stats -> Diag.phase -> before:Mir.func -> Mir.func -> unit) ->
   ?record:(string -> wall:float -> cpu:float -> unit) ->
   t list ->
   Mir.func ->
@@ -80,9 +88,10 @@ val run_pipeline :
     raises aborts the pipeline at that pass (the pass's time is not
     recorded). Before a pass with
     [post = Some phase], call [snapshot phase fn] (default: [None]); when
-    it returns a copy, hand [validate phase ~before fn] the (input,
+    it returns a copy, hand [validate st phase ~before fn] the (input,
     output) pair after the pass — the translation-validation hook
-    (Transval). After the pass, call [verify phase fn] (default: no
+    (Transval) — together with the pass state, whose [analysis] the pass
+    may have set. After the pass, call [verify phase fn] (default: no
     verification — the identity); verification runs before validation so
     the validators can assume well-formed MIR. Each pass is reported to
     [record name ~wall ~cpu] (default: discard) with its wall-clock
@@ -90,4 +99,5 @@ val run_pipeline :
     ({!Mclock.thread_cpu} — process CPU time would bill the pass for
     every other domain's concurrent work under [-j]); verification and
     validation time are {e not} attributed to the pass — those hooks time
-    themselves. The returned stats carry [estimates] oldest-first. *)
+    themselves. After each pass [analysis] is reset to [None]. The
+    returned stats carry [estimates] oldest-first. *)

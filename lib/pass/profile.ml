@@ -86,8 +86,13 @@ let add ?(cpu = 0.0) t name secs =
 
 let entries t = t.p_entries
 
-let passes_wall t =
-  List.fold_left (fun acc e -> acc +. e.e_wall) 0.0 t.p_entries
+let prefix_wall t prefix =
+  List.fold_left
+    (fun acc e ->
+      if String.starts_with ~prefix e.e_name then acc +. e.e_wall else acc)
+    0.0 t.p_entries
+
+let passes_wall t = prefix_wall t ""
 
 let to_text t =
   let buf = Buffer.create 512 in

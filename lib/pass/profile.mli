@@ -29,9 +29,13 @@ type t = {
   mutable p_funcs : int;
   mutable p_blocks : int;
   mutable p_insts : int;  (** instructions in the final code, nops included *)
-  mutable p_dag_nodes : int;  (** post-select code-DAG nodes; [0] unless
-                                  DAG statistics were requested *)
-  mutable p_dag_edges : int;
+  mutable p_dag_nodes : int;
+      (** nodes of the code DAGs the final estimate pass ([estimate], or
+          [estimate-inorder] under naive) built: one DAG per block of the
+          scheduled code, nops excluded, with Mem edges pruned by the
+          alias oracle unless [--no-disambig]. Cache hits replay the
+          stored counts; skipped functions add nothing *)
+  mutable p_dag_edges : int;  (** edges of the same DAGs *)
   mutable p_spilled : int;
   mutable p_schedule_passes : int;
   mutable p_sb_probes : int;
@@ -80,6 +84,12 @@ val add : ?cpu:float -> t -> string -> float -> unit
 val entries : t -> entry list
 (** Entries in first-recorded order (pipeline order for a compile, since
     units are merged in program order). *)
+
+val prefix_wall : t -> string -> float
+(** [prefix_wall t prefix] sums the wall times of the entries whose name
+    starts with [prefix]: checking costs [prefix_wall t "lint"
+    +. prefix_wall t "verify:"], translation validation (captures
+    included) [prefix_wall t "validate:"]. *)
 
 val passes_wall : t -> float
 (** Sum of all entry wall times. For a sequential compile this accounts

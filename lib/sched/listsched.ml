@@ -28,7 +28,12 @@ let is_nop (i : Mir.inst) =
   | [] | [ Ast.Snop ] -> Array.length i.Mir.n_ops = 0
   | _ -> false
 
-type result = { order : Mir.inst list; length : int }
+type result = {
+  order : Mir.inst list;
+  length : int;
+  dag_nodes : int;
+  dag_edges : int;
+}
 
 let pregs_of_inst which (i : Mir.inst) =
   List.filter_map
@@ -42,7 +47,7 @@ let schedule_block ?(options = default_options) ?oracle ?sb_stats
     (fn : Mir.func) (insts : Mir.inst list) : result =
   let model = fn.Mir.f_model in
   match List.filter (fun i -> not (is_nop i)) insts with
-  | [] -> { order = []; length = 0 }
+  | [] -> { order = []; length = 0; dag_nodes = 0; dag_edges = 0 }
   | insts ->
       let dag =
         Dag.build ~anti:options.anti ~aux:options.aux ?oracle model insts
@@ -251,11 +256,15 @@ let schedule_block ?(options = default_options) ?oracle ?sb_stats
       in
       (* delay slots are filled with nops (paper 4.4) *)
       let final_insts = List.map (fun i -> dag.Dag.insts.(i)) issue_order in
+      let dag_edges = List.length dag.Dag.edges in
       if options.fill_delay then begin
         let filled, added = Delay.fill fn final_insts in
-        { order = filled; length = max_cycle + 1 + added }
+        { order = filled; length = max_cycle + 1 + added; dag_nodes = n;
+          dag_edges }
       end
-      else { order = final_insts; length = max_cycle + 1 }
+      else
+        { order = final_insts; length = max_cycle + 1; dag_nodes = n;
+          dag_edges }
 
 let schedule_func ?options ?oracle ?sb_stats (fn : Mir.func) =
   List.fold_left

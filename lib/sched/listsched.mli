@@ -46,6 +46,8 @@ val is_nop : Mir.inst -> bool
 type result = {
   order : Mir.inst list;  (** issue order, delay-slot nops included *)
   length : int;  (** issue span of the block in cycles *)
+  dag_nodes : int;  (** nodes of the code DAG the block was scheduled on *)
+  dag_edges : int;  (** and its edges *)
 }
 
 val schedule_block :

@@ -26,26 +26,38 @@ let on_error_name = function
   | `Degrade -> "degrade"
   | `Skip -> "skip"
 
-(* the per-compile robustness configuration, threaded into every unit *)
-type robust = {
-  r_on_error : on_error;
-  r_pass_timeout : float option;  (* wall-clock budget per pass, ms *)
-  r_plan : Finject.plan;
+(* ------------------------------------------------------------------ *)
+(* Compile configuration                                               *)
+(* ------------------------------------------------------------------ *)
+
+type config = {
+  check : bool;
+  check_options : Mircheck.options;
+  validate : bool;
+  disambig : bool;
+  jobs : int;
+  on_error : on_error;
+  pass_timeout : float option;  (* wall-clock budget per pass, ms *)
+  finject : Finject.plan;
 }
 
-(* the trivial configuration is the seed behavior: no guard is installed
+let default_config =
+  {
+    check = true;
+    check_options = Mircheck.default_options;
+    validate = true;
+    disambig = true;
+    jobs = 1;
+    on_error = `Abort;
+    pass_timeout = None;
+    finject = Finject.empty;
+  }
+
+(* the trivial robust policy is the seed behavior: no guard is installed
    at all, so the default path stays bit-identical (and exception-
    identical) to a compiler without the robust layer *)
-let robust_trivial r =
-  r.r_on_error = `Abort && r.r_pass_timeout = None
-  && Finject.is_empty r.r_plan
-
-let make_robust ?(on_error = `Abort) ?pass_timeout ?finject () =
-  {
-    r_on_error = on_error;
-    r_pass_timeout = pass_timeout;
-    r_plan = Option.value ~default:Finject.empty finject;
-  }
+let robust_trivial c =
+  c.on_error = `Abort && c.pass_timeout = None && Finject.is_empty c.finject
 
 (* the ladder lives in Degrade as strategy names; map it back *)
 let degrade_next rung = Option.bind (Degrade.next (to_string rung)) of_string
@@ -56,9 +68,7 @@ type report = {
   block_estimates : (string, int) Hashtbl.t;
   schedule_passes : int;
   check_diags : Diag.t list;
-  check_time : float;
   validate_diags : Diag.t list;
-  validate_time : float;
   faults : Degrade.event list;
   profile : Profile.t;
 }
@@ -86,25 +96,18 @@ let with_sb_stats st f =
    it computes the memory-disambiguation oracle once from the pass's
    input state — the same snapshot Schedval captures, so the validator
    can rebuild an identical DAG — and folds analysis time and counters
-   into the pass stats. Without it, [f None] is exactly the old path. *)
-(* the analysis most recently computed by [with_oracle] on this domain,
-   handed to the Schedval validator of the same pass so it need not solve
-   again: the validator's [before] capture preserves instruction ids, so
-   an analysis computed from the pass's input state applies verbatim.
-   [compile_unit] clears it when capturing and consumes it at most once,
-   so a validated pass that never computed an analysis (e.g. allocation)
-   can never pick up a stale one. Domain-local because parallel compiles
-   run whole functions on separate domains. *)
-let analysis_stash : Disambig.t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
+   into the pass stats. The analysis is left in [st.analysis] for the
+   pass's validator, which therefore need not solve again (the
+   validator's [before] capture preserves instruction ids);
+   {!Pass.run_pipeline} clears it once the pass is done. Without
+   [disambig] it just runs [f None]. *)
 let with_oracle ~disambig st fn f =
   if not disambig then f None
   else begin
     let dstats = Dataflow.fresh_stats () in
     let t0 = Mclock.wall () in
     let d = Disambig.compute ~stats:dstats fn in
-    Domain.DLS.get analysis_stash := Some d;
+    st.Pass.analysis <- Some d;
     st.Pass.an_time <- st.Pass.an_time +. (Mclock.wall () -. t0);
     st.Pass.an_solves <- st.Pass.an_solves + dstats.Dataflow.solves;
     st.Pass.an_iters <- st.Pass.an_iters + dstats.Dataflow.iterations;
@@ -116,11 +119,22 @@ let with_oracle ~disambig st fn f =
     r
   end
 
-let record_estimates ?oracle st fn options =
-  List.iter
-    (fun (label, len) -> Pass.record_estimate st label len)
-    (with_sb_stats st (fun sb ->
-         Listsched.estimate_func ~options ?oracle ~sb_stats:sb fn));
+(* the estimate passes also size the DAGs they schedule on, which is
+   what --time-passes reports as dag-nodes/dag-edges; hence the block
+   loop here rather than Listsched.estimate_func, which keeps only the
+   lengths *)
+let record_estimates ?oracle st (fn : Mir.func) options =
+  with_sb_stats st (fun sb ->
+      List.iter
+        (fun (b : Mir.block) ->
+          let r =
+            Listsched.schedule_block ~options ?oracle ~sb_stats:sb fn
+              b.Mir.b_insts
+          in
+          Pass.record_estimate st b.Mir.b_label r.Listsched.length;
+          st.Pass.dag_nodes <- st.Pass.dag_nodes + r.Listsched.dag_nodes;
+          st.Pass.dag_edges <- st.Pass.dag_edges + r.Listsched.dag_edges)
+        fn.Mir.f_blocks);
   st.Pass.sched_passes <- st.Pass.sched_passes + count_blocks fn
 
 let p_allocate =
@@ -254,6 +268,27 @@ let pipeline ?(disambig = true) = function
         p_schedule ~disambig; p_estimate ~disambig; p_frame;
       ]
 
+(* The cache identity of a compile of [name] under a configuration. The
+   pattern names every field of [config] (and of the verifier options)
+   without a [; _], so a new field does not build until it is either
+   keyed here or bound to [_] with the reason it cannot change a stored
+   result. *)
+let pipeline_key
+    {
+      check;
+      check_options = { Mircheck.def_use; global_dataflow; hazard_replay };
+      validate;
+      disambig;
+      jobs = _ (* outputs are bit-identical for every job count *);
+      on_error = _ (* a degraded result is keyed by its own rung *);
+      pass_timeout = _ (* can only fault a compile, as on_error above *);
+      finject = _ (* functions a plan may target bypass the cache *);
+    } name =
+  Ckey.of_pipeline ~strategy:(to_string name)
+    ~passes:
+      (List.map (fun (p : Pass.t) -> p.Pass.name) (pipeline ~disambig name))
+    ~check ~def_use ~global_dataflow ~hazard_replay ~validate ~disambig
+
 (* ------------------------------------------------------------------ *)
 (* Per-function compile units and the domain-parallel driver           *)
 (* ------------------------------------------------------------------ *)
@@ -266,14 +301,10 @@ let pipeline ?(disambig = true) = function
 type unit_result = {
   u_stats : Pass.stats;
   u_diags : Diag.t list;  (* oldest-first *)
-  u_check_wall : float;
   u_vdiags : Diag.t list;  (* oldest-first *)
-  u_validate_wall : float;
   u_times : (string * float * float) list;  (* oldest-first *)
   u_blocks : int;
   u_insts : int;
-  u_dag_nodes : int;
-  u_dag_edges : int;
   u_events : Degrade.event list;  (* [] or one fault/degradation record *)
 }
 
@@ -282,117 +313,83 @@ let count_insts (fn : Mir.func) =
     (fun acc (b : Mir.block) -> acc + List.length b.Mir.b_insts)
     0 fn.Mir.f_blocks
 
-let compile_unit ~check ~check_options ~validate:validate_on ~dag_stats
-    ~disambig ~robust strategy (fn : Mir.func) =
+let compile_unit config strategy (fn : Mir.func) =
   let diags = ref [] in
-  let check_wall = ref 0.0 in
   let vdiags = ref [] in
-  let validate_wall = ref 0.0 in
   let times = ref [] in
   let record pass ~wall ~cpu = times := (pass, wall, cpu) :: !times in
   let timed pass f =
     let t0 = Mclock.wall () and c0 = Mclock.thread_cpu () in
     let r = f () in
-    let dt = Mclock.wall () -. t0 in
-    record pass ~wall:dt ~cpu:(Mclock.thread_cpu () -. c0);
-    (r, dt)
+    record pass ~wall:(Mclock.wall () -. t0) ~cpu:(Mclock.thread_cpu () -. c0);
+    r
+  in
+  (* errors abort the compile ({!Diag.Check_error}); the rest is kept *)
+  let keep_or_raise acc ds =
+    match Diag.errors ds with
+    | [] -> acc := List.rev_append ds !acc
+    | errs -> raise (Diag.Check_error errs)
   in
   (* [verify phase fn] re-checks the invariants the phase just claimed to
-     establish; errors abort the compile ({!Diag.Check_error}), warnings
-     accumulate into the report. The identity when checking is off. *)
+     establish; warnings accumulate into the report. The identity when
+     checking is off. *)
   let verify phase fn =
-    if check then begin
-      let ds, dt =
-        timed
-          ("verify:" ^ Diag.phase_name phase)
-          (fun () -> Mircheck.check_func ?options:check_options phase fn)
-      in
-      check_wall := !check_wall +. dt;
-      (match Diag.errors ds with
-      | [] -> ()
-      | errs -> raise (Diag.Check_error errs));
-      diags := List.rev_append ds !diags
-    end
+    if config.check then
+      keep_or_raise diags
+        (timed
+           ("verify:" ^ Diag.phase_name phase)
+           (fun () ->
+             Mircheck.check_func ~options:config.check_options phase fn))
   in
   (* [snapshot]/[validate] bracket every pass claiming a validated phase:
      capture an independent copy of the function before the pass, then run
      the phase's translation validator (Transval) on the (input, output)
-     pair. Errors abort the compile like verifier errors do; both halves
-     time themselves into [validate_wall]. *)
+     pair. Both halves time themselves into "validate:" profile entries. *)
   let snapshot phase fn =
-    if validate_on && Transval.validated_phase phase then begin
-      Domain.DLS.get analysis_stash := None;
-      let copy, dt =
-        timed
-          ("validate:capture:" ^ Diag.phase_name phase)
-          (fun () -> Transval.capture fn)
-      in
-      validate_wall := !validate_wall +. dt;
-      Some copy
-    end
+    if config.validate && Transval.validated_phase phase then
+      Some
+        (timed
+           ("validate:capture:" ^ Diag.phase_name phase)
+           (fun () -> Transval.capture fn))
     else None
   in
-  let validate phase ~before fn =
-    (* anything stashed was computed during this pass's body, i.e. from
-       exactly the state [before] captures *)
-    let analysis =
-      let r = Domain.DLS.get analysis_stash in
-      let d = !r in
-      r := None;
-      d
-    in
-    let ds, dt =
-      timed
-        ("validate:" ^ Diag.phase_name phase)
-        (fun () -> Transval.validate_func ~disambig ?analysis phase ~before fn)
-    in
-    validate_wall := !validate_wall +. dt;
-    (match Diag.errors ds with
-    | [] -> ()
-    | errs -> raise (Diag.Check_error errs));
-    vdiags := List.rev_append ds !vdiags
+  (* an analysis in [st] was computed during this pass's body, i.e. from
+     exactly the state [before] captures *)
+  let validate (st : Pass.stats) phase ~before fn =
+    keep_or_raise vdiags
+      (timed
+         ("validate:" ^ Diag.phase_name phase)
+         (fun () ->
+           Transval.validate_func ~disambig:config.disambig
+             ?analysis:st.Pass.analysis phase ~before fn))
   in
   verify Diag.Post_select fn;
-  let dag_nodes = ref 0 and dag_edges = ref 0 in
-  if dag_stats then
-    ignore
-      (timed "dag-stats" (fun () ->
-           List.iter
-             (fun (b : Mir.block) ->
-               let dag = Dag.build fn.Mir.f_model b.Mir.b_insts in
-               dag_nodes := !dag_nodes + Array.length dag.Dag.insts;
-               dag_edges := !dag_edges + List.length dag.Dag.edges)
-             fn.Mir.f_blocks));
   (* the guard closes over this function's name and the rung being run;
      the trivial configuration installs no guard at all, so the default
      path is the seed path *)
   let guard =
-    if robust_trivial robust then None
+    if robust_trivial config then None
     else
       Some
         (fun (p : Pass.t) body ->
           Guard.protect ~fn:fn.Mir.f_name ~strategy:(to_string strategy)
-            ~pass:p.Pass.name ?deadline_ms:robust.r_pass_timeout
+            ~pass:p.Pass.name ?deadline_ms:config.pass_timeout
             ?inject:
-              (Finject.arm robust.r_plan ~pass:p.Pass.name
-                 ~fn:fn.Mir.f_name)
+              (Finject.arm config.finject ~pass:p.Pass.name ~fn:fn.Mir.f_name)
             body)
   in
   let st =
     Pass.run_pipeline ?guard ~verify ~snapshot ~validate ~record
-      (pipeline ~disambig strategy) fn
+      (pipeline ~disambig:config.disambig strategy)
+      fn
   in
   {
     u_stats = st;
     u_diags = List.rev !diags;
-    u_check_wall = !check_wall;
     u_vdiags = List.rev !vdiags;
-    u_validate_wall = !validate_wall;
     u_times = List.rev !times;
     u_blocks = count_blocks fn;
     u_insts = count_insts fn;
-    u_dag_nodes = !dag_nodes;
-    u_dag_edges = !dag_edges;
     u_events = [];
   }
 
@@ -434,24 +431,21 @@ let skipped_unit fn events =
   {
     u_stats = Pass.fresh_stats ();
     u_diags = [];
-    u_check_wall = 0.0;
     u_vdiags = [];
-    u_validate_wall = 0.0;
     u_times = [];
     u_blocks = count_blocks fn;
     u_insts = count_insts fn;
-    u_dag_nodes = 0;
-    u_dag_edges = 0;
     u_events = events;
   }
 
-(* [compile_fn ~fresh strategy] runs the strategy's pipeline on
-   [fresh ()] under the robust policy. [fresh] hands out the function to
-   compile: the original on the first call, an independent pristine copy
-   on every retry, so a faulted attempt's half-rewritten state can never
-   leak into the next rung. Returns the unit (faults and resolution in
-   [u_events]), the function that made it into the program, and the rung
-   that produced it.
+(* [compile_fn config strategy fn] runs the strategy's pipeline on [fn]
+   under the configuration's robust policy. Returns the unit (faults and
+   resolution in [u_events]), the function that made it into the
+   program, and the rung that produced it. That function is [fn] itself
+   unless a retry won: under a non-trivial policy [fn]'s pristine
+   pre-pipeline state is snapshotted first, and every retry starts from
+   an independent copy of it, so a faulted attempt's half-rewritten state
+   can never leak into the next rung.
 
    Under [`Abort] the original exception is re-raised with its original
    backtrace — bit- and trace-identical to a compiler without the robust
@@ -459,21 +453,21 @@ let skipped_unit fn events =
    Naive, recompiling only this function; under [`Skip], or when the
    ladder is exhausted, the function is given up at its pristine state
    and marked skipped. *)
-let compile_fn ~check ~check_options ~validate ~dag_stats ~disambig ~robust
-    ~fresh strategy =
-  if robust_trivial robust then
-    let fn = fresh () in
-    ( compile_unit ~check ~check_options ~validate ~dag_stats ~disambig
-        ~robust strategy fn,
-      fn,
-      strategy )
+let compile_fn config strategy fn =
+  if robust_trivial config then (compile_unit config strategy fn, fn, strategy)
   else
+    let pristine = snapshot_func fn in
+    let first = ref true in
+    let fresh () =
+      if !first then begin
+        first := false;
+        fn
+      end
+      else snapshot_func pristine
+    in
     let rec attempt rung faults =
       let fn = fresh () in
-      match
-        compile_unit ~check ~check_options ~validate ~dag_stats ~disambig
-          ~robust rung fn
-      with
+      match compile_unit config rung fn with
       | u ->
           let events =
             match faults with
@@ -490,14 +484,14 @@ let compile_fn ~check ~check_options ~validate ~dag_stats ~disambig ~robust
           in
           ({ u with u_events = events }, fn, rung)
       | exception Guard.Trip f -> faulted rung faults f
-      | exception Diag.Check_error ds when robust.r_on_error <> `Abort ->
+      | exception Diag.Check_error ds when config.on_error <> `Abort ->
           (* verifier/validator errors trap like pass faults; under
              [`Abort] they propagate untouched, exactly as before *)
           faulted rung faults
             (Fault.of_check ~func:fn.Mir.f_name ~strategy:(to_string rung)
                ds)
     and faulted rung faults f =
-      match robust.r_on_error with
+      match config.on_error with
       | `Abort -> (
           match f.Fault.f_exn with
           | Some (e, bt) -> Printexc.raise_with_backtrace e bt
@@ -526,8 +520,7 @@ let compile_fn ~check ~check_options ~validate ~dag_stats ~disambig ~robust
    function wins, exactly as in a sequential compile; diagnostics are
    accumulated reversed and re-reversed once at the end. *)
 let merge_units prof strategy units : report =
-  let spilled = ref 0 and passes = ref 0 and check_wall = ref 0.0 in
-  let validate_wall = ref 0.0 in
+  let spilled = ref 0 and passes = ref 0 in
   let estimates = Hashtbl.create 64 in
   let diags = ref [] in
   let vdiags = ref [] in
@@ -554,21 +547,21 @@ let merge_units prof strategy units : report =
         prof.Profile.p_an_queries + u.u_stats.Pass.an_queries;
       prof.Profile.p_an_pruned <-
         prof.Profile.p_an_pruned + u.u_stats.Pass.an_pruned;
+      prof.Profile.p_dag_nodes <-
+        prof.Profile.p_dag_nodes + u.u_stats.Pass.dag_nodes;
+      prof.Profile.p_dag_edges <-
+        prof.Profile.p_dag_edges + u.u_stats.Pass.dag_edges;
       List.iter
         (fun (label, len) -> Hashtbl.replace estimates label len)
         u.u_stats.Pass.estimates;
       diags := List.rev_append u.u_diags !diags;
-      check_wall := !check_wall +. u.u_check_wall;
       vdiags := List.rev_append u.u_vdiags !vdiags;
-      validate_wall := !validate_wall +. u.u_validate_wall;
       List.iter
         (fun (pass, wall, cpu) -> Profile.add ~cpu prof pass wall)
         u.u_times;
       prof.Profile.p_funcs <- prof.Profile.p_funcs + 1;
       prof.Profile.p_blocks <- prof.Profile.p_blocks + u.u_blocks;
       prof.Profile.p_insts <- prof.Profile.p_insts + u.u_insts;
-      prof.Profile.p_dag_nodes <- prof.Profile.p_dag_nodes + u.u_dag_nodes;
-      prof.Profile.p_dag_edges <- prof.Profile.p_dag_edges + u.u_dag_edges;
       List.iter
         (fun (e : Degrade.event) ->
           prof.Profile.p_faults <-
@@ -590,52 +583,29 @@ let merge_units prof strategy units : report =
     block_estimates = estimates;
     schedule_passes = !passes;
     check_diags = List.rev !diags;
-    check_time = !check_wall;
     validate_diags = List.rev !vdiags;
-    validate_time = !validate_wall;
     faults = List.rev !events;
     profile = prof;
   }
 
-let apply ?(check = true) ?check_options ?(validate = true) ?(jobs = 1)
-    ?(dag_stats = false) ?(disambig = true) ?profile ?on_error ?pass_timeout
-    ?finject strategy (prog : Mir.prog) : report =
+let apply ?(config = default_config) ?profile strategy (prog : Mir.prog) :
+    report =
   let w0 = Mclock.wall () and c0 = Mclock.cpu () in
-  let robust = make_robust ?on_error ?pass_timeout ?finject () in
   let prof =
     match profile with
     | Some p -> p
-    | None -> Profile.create ~jobs ~strategy:(to_string strategy) ()
+    | None -> Profile.create ~jobs:config.jobs ~strategy:(to_string strategy) ()
   in
   (* fan the per-function units out over the domain pool; results come
-     back in program order whatever the completion order. Under a
-     non-trivial robust policy each function snapshots its pristine
-     pre-pipeline state first, so ladder retries start clean; the winning
-     attempt is spliced back into the original object, preserving
+     back in program order whatever the completion order. A ladder retry
+     that won is spliced back into the original object, preserving
      apply's rewrite-in-place contract. *)
   let units =
-    Dpool.map ~jobs
+    Dpool.map ~jobs:config.jobs
       (fun fn ->
-        if robust_trivial robust then
-          compile_unit ~check ~check_options ~validate ~dag_stats ~disambig
-            ~robust strategy fn
-        else begin
-          let pristine = snapshot_func fn in
-          let first = ref true in
-          let fresh () =
-            if !first then begin
-              first := false;
-              fn
-            end
-            else snapshot_func pristine
-          in
-          let u, final, _rung =
-            compile_fn ~check ~check_options ~validate ~dag_stats ~disambig
-              ~robust ~fresh strategy
-          in
-          if final != fn then splice ~into:fn final;
-          u
-        end)
+        let u, final, _rung = compile_fn config strategy fn in
+        if final != fn then splice ~into:fn final;
+        u)
       prog.Mir.p_funcs
   in
   let report = merge_units prof strategy units in
@@ -681,19 +651,19 @@ let lint_model model =
           lint_cache := (key, ds) :: keep;
           ds)
 
-let compile ?(check = true) ?check_options ?(validate = true) ?(jobs = 1)
-    ?(dag_stats = false) ?(disambig = true) ?cache ?on_error ?pass_timeout
-    ?finject model strategy (ir : Ir.prog) =
+let compile ?(config = default_config) ?cache model strategy (ir : Ir.prog) =
   let w0 = Mclock.wall () and c0 = Mclock.cpu () in
-  let robust = make_robust ?on_error ?pass_timeout ?finject () in
-  let prof = Profile.create ~jobs ~strategy:(to_string strategy) () in
-  let lint_wall = ref 0.0 in
+  let prof =
+    Profile.create ~jobs:config.jobs ~strategy:(to_string strategy) ()
+  in
   let lint_warnings =
-    if check then begin
+    if config.check then begin
       let t0 = Mclock.wall () and tc0 = Mclock.thread_cpu () in
       let ds = Diag.raise_if_errors (lint_model model) in
-      lint_wall := Mclock.wall () -. t0;
-      Profile.add ~cpu:(Mclock.thread_cpu () -. tc0) prof "lint" !lint_wall;
+      Profile.add
+        ~cpu:(Mclock.thread_cpu () -. tc0)
+        prof "lint"
+        (Mclock.wall () -. t0);
       ds
     end
     else []
@@ -708,36 +678,12 @@ let compile ?(check = true) ?check_options ?(validate = true) ?(jobs = 1)
     prof "glue"
     (Mclock.wall () -. t_glue);
   (* the cache key components shared by every function of this compile:
-     model digest and pipeline identity (strategy, ordered pass names,
-     every report-changing flag) *)
-  let opts = Option.value ~default:Mircheck.default_options check_options in
-  let pipeline_digest =
-    Ckey.of_pipeline ~strategy:(to_string strategy)
-      ~passes:
-        (List.map
-           (fun (p : Pass.t) -> p.Pass.name)
-           (pipeline ~disambig strategy))
-      ~check ~def_use:opts.Mircheck.def_use
-      ~global_dataflow:opts.Mircheck.global_dataflow
-      ~hazard_replay:opts.Mircheck.hazard_replay ~validate ~dag_stats
-      ~disambig
-  in
-  (* the identity a fallback rung's result is cached under: same flag
-     set as [pipeline_digest], recomputed for whichever rung actually
-     produced the code. A degraded result must never be stored under —
-     or answer for — the original strategy's key *)
+     model digest and pipeline identity. A fallback rung's result is
+     keyed by that rung's identity: a degraded result must never be
+     stored under — or answer for — the original strategy's key *)
+  let pipeline_digest = pipeline_key config strategy in
   let rung_digest rung =
-    if rung = strategy then pipeline_digest
-    else
-      Ckey.of_pipeline ~strategy:(to_string rung)
-        ~passes:
-          (List.map
-             (fun (p : Pass.t) -> p.Pass.name)
-             (pipeline ~disambig rung))
-        ~check ~def_use:opts.Mircheck.def_use
-        ~global_dataflow:opts.Mircheck.global_dataflow
-        ~hazard_replay:opts.Mircheck.hazard_replay ~validate ~dag_stats
-        ~disambig
+    if rung = strategy then pipeline_digest else pipeline_key config rung
   in
   let model_digest =
     match cache with Some _ -> Ckey.of_model model | None -> ""
@@ -750,28 +696,9 @@ let compile ?(check = true) ?check_options ?(validate = true) ?(jobs = 1)
   let compile_one (irfn : Ir.func) =
     let select_and_run () =
       let t0 = Mclock.wall () and tc0 = Mclock.thread_cpu () in
-      let fn0 = Select.select_func model irfn in
+      let fn = Select.select_func model irfn in
       let w = Mclock.wall () -. t0 and c = Mclock.thread_cpu () -. tc0 in
-      let u, fn, rung =
-        if robust_trivial robust then
-          ( compile_unit ~check ~check_options ~validate ~dag_stats
-              ~disambig ~robust strategy fn0,
-            fn0,
-            strategy )
-        else begin
-          let pristine = snapshot_func fn0 in
-          let first = ref true in
-          let fresh () =
-            if !first then begin
-              first := false;
-              fn0
-            end
-            else snapshot_func pristine
-          in
-          compile_fn ~check ~check_options ~validate ~dag_stats ~disambig
-            ~robust ~fresh strategy
-        end
-      in
+      let u, fn, rung = compile_fn config strategy fn in
       ({ u with u_times = ("select", w, c) :: u.u_times }, fn, rung)
     in
     match cache with
@@ -800,13 +727,11 @@ let compile ?(check = true) ?check_options ?(validate = true) ?(jobs = 1)
                 c_diags = u.u_diags;
                 c_vdiags = u.u_vdiags;
                 c_insts = u.u_insts;
-                c_dag_nodes = u.u_dag_nodes;
-                c_dag_edges = u.u_dag_edges;
               }
         in
         if
-          (not (robust_trivial robust))
-          && Finject.may_target robust.r_plan ~fn:irfn.Ir.fn_name
+          (not (robust_trivial config))
+          && Finject.may_target config.finject ~fn:irfn.Ir.fn_name
         then begin
           (* a warm hit would replay a result without crossing the pass
              boundaries the plan plants faults at, silently neutralising
@@ -830,9 +755,7 @@ let compile ?(check = true) ?check_options ?(validate = true) ?(jobs = 1)
                 {
                   u_stats = p.Cache.c_stats;
                   u_diags = p.Cache.c_diags;
-                  u_check_wall = 0.0;
                   u_vdiags = p.Cache.c_vdiags;
-                  u_validate_wall = 0.0;
                   u_times =
                     [
                       ( "cached",
@@ -841,8 +764,6 @@ let compile ?(check = true) ?check_options ?(validate = true) ?(jobs = 1)
                     ];
                   u_blocks = count_blocks p.Cache.c_func;
                   u_insts = p.Cache.c_insts;
-                  u_dag_nodes = p.Cache.c_dag_nodes;
-                  u_dag_edges = p.Cache.c_dag_edges;
                   u_events = [];
                 }
               in
@@ -852,7 +773,7 @@ let compile ?(check = true) ?check_options ?(validate = true) ?(jobs = 1)
               store_result u fn rung;
               (u, fn, `Miss))
   in
-  let results = Dpool.map ~jobs compile_one ir.Ir.funcs in
+  let results = Dpool.map ~jobs:config.jobs compile_one ir.Ir.funcs in
   let prog =
     {
       Mir.p_model = model;
@@ -894,9 +815,4 @@ let compile ?(check = true) ?check_options ?(validate = true) ?(jobs = 1)
   | _ -> ());
   prof.Profile.p_wall <- Mclock.wall () -. w0;
   prof.Profile.p_cpu <- Mclock.cpu () -. c0;
-  ( prog,
-    {
-      report with
-      check_diags = lint_warnings @ report.check_diags;
-      check_time = !lint_wall +. report.check_time;
-    } )
+  (prog, { report with check_diags = lint_warnings @ report.check_diags })

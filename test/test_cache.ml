@@ -62,7 +62,11 @@ let snapshot (prog, (report : Strategy.report)) =
     List.map Diag.to_string report.Strategy.validate_diags )
 
 let compile ?cache ~jobs model strat (file, src) =
-  match Strategy.compile ?cache ~jobs model strat (Cgen.compile ~file src) with
+  match
+    Strategy.compile ?cache
+      ~config:{ Strategy.default_config with jobs }
+      model strat (Cgen.compile ~file src)
+  with
   | r -> Ok (snapshot r)
   | exception Select.No_pattern msg -> Error ("no-pattern: " ^ msg)
   | exception Loc.Error (loc, msg) -> Error (Loc.error_to_string loc msg)
@@ -205,19 +209,49 @@ let test_strategy_change_invalidates () =
   check Alcotest.int "same strategy hits" multi_fn_funcs
     (counters cache).Cache.hits
 
+(* each case differs from the default configuration in one field: a
+   report-changing field must miss, a field that cannot change a
+   fault-free compile's result must hit *)
 let test_flag_change_invalidates () =
   let m = Lazy.force r2000 in
-  let cache = Cache.create () in
-  let go ~validate =
-    ignore
-      (Strategy.compile ~cache ~validate m Strategy.Postpass
-         (Cgen.compile ~file:"multi" multi_fn_src))
+  let d = Strategy.default_config in
+  let o = Mircheck.default_options in
+  let opts check_options = { d with Strategy.check_options } in
+  let cases =
+    [
+      ("check", { d with check = not d.check }, `Miss);
+      ("def_use", opts { o with def_use = not o.def_use }, `Miss);
+      ( "global_dataflow",
+        opts { o with global_dataflow = not o.global_dataflow },
+        `Miss );
+      ( "hazard_replay",
+        opts { o with hazard_replay = not o.hazard_replay },
+        `Miss );
+      ("validate", { d with validate = not d.validate }, `Miss);
+      ("disambig", { d with disambig = not d.disambig }, `Miss);
+      ("jobs", { d with jobs = 4 }, `Hit);
+      ("on_error", { d with on_error = `Degrade }, `Hit);
+    ]
   in
-  go ~validate:true;
-  go ~validate:false;
-  let c = counters cache in
-  check Alcotest.int "no hits across flags" 0 c.Cache.hits;
-  check Alcotest.int "all misses" (2 * multi_fn_funcs) c.Cache.misses
+  List.iter
+    (fun (name, config, expect) ->
+      let cache = Cache.create () in
+      let go config =
+        ignore
+          (Strategy.compile ~config ~cache m Strategy.Postpass
+             (Cgen.compile ~file:"multi" multi_fn_src))
+      in
+      go d;
+      go config;
+      let c = counters cache in
+      match expect with
+      | `Miss ->
+          check Alcotest.int (name ^ ": no hits") 0 c.Cache.hits;
+          check Alcotest.int (name ^ ": all misses") (2 * multi_fn_funcs)
+            c.Cache.misses
+      | `Hit ->
+          check Alcotest.int (name ^ ": all hit") multi_fn_funcs c.Cache.hits)
+    cases
 
 let test_source_edit_invalidates () =
   let m = Lazy.force r2000 in

@@ -123,12 +123,16 @@ let test_clean_compiles_no_diags () =
 let test_verify_mir_no_errors () =
   (* the opt-in hazard replay may warn (M045) on interlocked machines but
      must never error on a clean compile *)
-  let options =
-    { Mircheck.default_options with Mircheck.hazard_replay = true }
+  let config =
+    {
+      Strategy.default_config with
+      check_options =
+        { Mircheck.default_options with Mircheck.hazard_replay = true };
+    }
   in
   let c =
-    Marion.compile (Lazy.force r2000) Strategy.Postpass
-      ~check_options:options ~file:"<clean.c>" clean_src
+    Marion.compile ~config (Lazy.force r2000) Strategy.Postpass
+      ~file:"<clean.c>" clean_src
   in
   let ds = c.Marion.report.Strategy.check_diags in
   check Alcotest.bool "no errors" false (Diag.has_errors ds);
@@ -142,7 +146,9 @@ let test_verify_mir_no_errors () =
 (* Seeded mutations: each must be caught with the right code + phase *)
 
 let compile_quiet strat src =
-  (Marion.compile ~check:false (Lazy.force r2000) strat ~file:"<mut.c>" src)
+  (Marion.compile
+     ~config:{ Strategy.default_config with check = false }
+     (Lazy.force r2000) strat ~file:"<mut.c>" src)
     .Marion.prog
 
 let find_map_inst prog f =

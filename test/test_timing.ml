@@ -36,6 +36,7 @@ let targets =
 let kernel_ids = [ 1; 2; 3; 5; 7 ]
 
 let cell_blob ~jobs model strat : string =
+  let config = { Strategy.default_config with jobs } in
   let buf = Buffer.create (1 lsl 16) in
   let add fmt = Printf.bprintf buf fmt in
   List.iter
@@ -45,7 +46,7 @@ let cell_blob ~jobs model strat : string =
       add "== %s\n" file;
       match
         let ir = Cgen.compile ~file src in
-        let r = Strategy.compile ~jobs model strat ir in
+        let r = Strategy.compile ~config model strat ir in
         (ir, r)
       with
       | ir, (prog, report) ->
@@ -73,19 +74,7 @@ let cell_blob ~jobs model strat : string =
           (* cache keys exactly as Strategy.compile builds them; the IR
              was glued by the compile above, so of_ir_func sees the same
              trees the cache would digest *)
-          let opts = Mircheck.default_options in
-          let pipe =
-            Ckey.of_pipeline
-              ~strategy:(Strategy.to_string strat)
-              ~passes:
-                (List.map
-                   (fun (p : Pass.t) -> p.Pass.name)
-                   (Strategy.pipeline strat))
-              ~check:true ~def_use:opts.Mircheck.def_use
-              ~global_dataflow:opts.Mircheck.global_dataflow
-              ~hazard_replay:opts.Mircheck.hazard_replay ~validate:true
-              ~dag_stats:false ~disambig:true
-          in
+          let pipe = Strategy.pipeline_key config strat in
           let md = Ckey.of_model model in
           List.iter
             (fun irfn ->

@@ -60,16 +60,18 @@ let test_pipeline_validates_clean () =
       check Alcotest.bool
         (Strategy.to_string strat ^ ": validation was priced")
         true
-        (c.Marion.report.Strategy.validate_time > 0.0))
+        (Profile.prefix_wall c.Marion.report.Strategy.profile "validate:"
+         > 0.0))
     Strategy.all
 
 let test_no_validate_opts_out () =
   let c =
-    Marion.compile ~validate:false (Lazy.force r2000) Strategy.Postpass
-      ~file:"<tv.c>" sched_src
+    Marion.compile
+      ~config:{ Strategy.default_config with validate = false }
+      (Lazy.force r2000) Strategy.Postpass ~file:"<tv.c>" sched_src
   in
   check (Alcotest.bool) "no validation time" true
-    (c.Marion.report.Strategy.validate_time = 0.0)
+    (Profile.prefix_wall c.Marion.report.Strategy.profile "validate:" = 0.0)
 
 (* ------------------------------------------------------------------ *)
 (* Seeded miscompiles: Schedval                                        *)
