@@ -131,61 +131,97 @@ let available_regs model max_local cls =
   | None -> all
   | Some k -> List.filteri (fun i _ -> i < k) all
 
-(* worst-case number of this node's colors a neighbour can block *)
-let blocking model (u : node) (v : node) =
-  let su = (Model.class_exn model u.preg.Mir.p_cls).Model.c_size in
-  let sv = (Model.class_exn model v.preg.Mir.p_cls).Model.c_size in
-  (sv + su - 1) / su
-
 let color_order model regs =
   (* prefer caller-save registers so we do not pay save/restore *)
   let caller, callee = List.partition (fun r -> not (Model.is_callee_save model r)) regs in
   caller @ callee
 
+(* Simplify as a worklist (Chaitin/Briggs). A node is colorable while the
+   colors its precolored conflicts and its remaining neighbours can block
+   leave one free; [blocked] only falls as neighbours are removed, so a
+   colorable node stays colorable. Each step removes the colorable node
+   with the lowest [p_id], or, when there is none, the first node in [p_id]
+   order of least [cost / (degree + 1)] (the spill candidates are sorted
+   once, stably); the removed nodes then color in reverse order. *)
 let try_color model max_local nodes =
-  let remaining =
+  let order =
     Hashtbl.fold (fun _ n acc -> n :: acc) nodes []
     |> List.sort (fun a b -> compare a.preg.Mir.p_id b.preg.Mir.p_id)
+    |> Array.of_list
   in
-  let removed : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  let n = Array.length order in
+  let index : (int, int) Hashtbl.t = Hashtbl.create (2 * n + 1) in
+  Array.iteri (fun i u -> Hashtbl.replace index u.preg.Mir.p_id i) order;
+  (* per class: the registers it may take, in color order, and their count *)
+  let class_regs : (int, int * Model.reg list) Hashtbl.t = Hashtbl.create 4 in
+  let regs_of cls =
+    match Hashtbl.find_opt class_regs cls with
+    | Some r -> r
+    | None ->
+        let regs = available_regs model max_local cls in
+        let r = (List.length regs, color_order model regs) in
+        Hashtbl.replace class_regs cls r;
+        r
+  in
+  let avail = Array.map (fun u -> fst (regs_of u.preg.Mir.p_cls)) order in
+  let size =
+    Array.map
+      (fun u -> (Model.class_exn model u.preg.Mir.p_cls).Model.c_size)
+      order
+  in
+  (* worst-case number of i's colors neighbour j can block *)
+  let blocking i j = (size.(j) + size.(i) - 1) / size.(i) in
+  let adj =
+    Array.map
+      (fun u -> IntSet.fold (fun v acc -> Hashtbl.find index v :: acc) u.adj [])
+      order
+  in
+  let blocked =
+    Array.mapi
+      (fun i u ->
+        List.fold_left
+          (fun acc j -> acc + blocking i j)
+          (List.length u.forbidden) adj.(i))
+      order
+  in
+  let ready = ref IntSet.empty in
+  Array.iteri (fun i b -> if b < avail.(i) then ready := IntSet.add i !ready) blocked;
+  let spill_order =
+    let weight i =
+      let u = order.(i) in
+      (if u.no_spill then 1e18 else u.cost)
+      /. float_of_int (IntSet.cardinal u.adj + 1)
+    in
+    let w = Array.init n weight in
+    let a = Array.init n Fun.id in
+    Array.stable_sort (fun i j -> compare w.(i) w.(j)) a;
+    a
+  in
+  let removed = Array.make n false in
+  let next_spill = ref 0 in
   let stack = ref [] in
-  let n_remaining = ref (List.length remaining) in
-  let degree_ok (u : node) =
-    let avail = List.length (available_regs model max_local u.preg.Mir.p_cls) in
-    let blocked =
-      IntSet.fold
-        (fun vid acc ->
-          if Hashtbl.mem removed vid then acc
-          else acc + blocking model u (Hashtbl.find nodes vid))
-        u.adj
-        (List.length u.forbidden)
-    in
-    blocked < avail
-  in
-  while !n_remaining > 0 do
-    let candidates =
-      List.filter (fun u -> not (Hashtbl.mem removed u.preg.Mir.p_id)) remaining
-    in
+  for _ = 1 to n do
     let pick =
-      match List.find_opt degree_ok candidates with
-      | Some u -> u
+      match IntSet.min_elt_opt !ready with
+      | Some i ->
+          ready := IntSet.remove i !ready;
+          i
       | None ->
           (* optimistic: push the cheapest spill candidate *)
-          let weight (u : node) =
-            let deg = IntSet.cardinal u.adj + 1 in
-            (if u.no_spill then 1e18 else u.cost) /. float_of_int deg
-          in
-          List.fold_left
-            (fun best u ->
-              match best with
-              | None -> Some u
-              | Some b -> if weight u < weight b then Some u else best)
-            None candidates
-          |> Option.get
+          while removed.(spill_order.(!next_spill)) do incr next_spill done;
+          spill_order.(!next_spill)
     in
-    Hashtbl.replace removed pick.preg.Mir.p_id ();
-    stack := pick :: !stack;
-    decr n_remaining
+    removed.(pick) <- true;
+    stack := order.(pick) :: !stack;
+    List.iter
+      (fun j ->
+        if not removed.(j) then begin
+          let was_ready = blocked.(j) < avail.(j) in
+          blocked.(j) <- blocked.(j) - blocking j pick;
+          if (not was_ready) && blocked.(j) < avail.(j) then
+            ready := IntSet.add j !ready
+        end)
+      adj.(pick)
   done;
   (* select phase: the stack pops in reverse removal order *)
   let spilled = ref [] in
@@ -203,7 +239,7 @@ let try_color model max_local nodes =
       let choice =
         List.find_opt
           (fun r -> not (List.exists (model_overlap r) taken))
-          (color_order model (available_regs model max_local u.preg.Mir.p_cls))
+          (snd (regs_of u.preg.Mir.p_cls))
       in
       match choice with
       | Some r -> u.color <- Some r
@@ -432,14 +468,16 @@ let allocate ?(forbid_global_pregs = false) ?max_local (fn : Mir.func) : stats =
                 let cv = Option.get v.color in
                 if Model.regs_overlap fn.Mir.f_model cu cv then
                   Loc.fail Loc.dummy
-                    "register allocation self-check: %%p%d and %%p%d share                      overlapping registers"
+                    "register allocation self-check: %%p%d and %%p%d share \
+                     overlapping registers"
                     u.preg.Mir.p_id v.preg.Mir.p_id)
               u.adj;
             List.iter
               (fun r ->
                 if Model.regs_overlap fn.Mir.f_model cu r then
                   Loc.fail Loc.dummy
-                    "register allocation self-check: %%p%d overlaps a live                      physical register"
+                    "register allocation self-check: %%p%d overlaps a live \
+                     physical register"
                     u.preg.Mir.p_id)
               u.forbidden)
           nodes;

@@ -7,7 +7,17 @@
     physical registers (CWVM argument/result registers, call clobbers)
     constrain the colors a pseudo-register may take. Coloring is
     optimistic; uncolored nodes spill to frame slots, spill code is
-    inserted, and allocation repeats until it converges. *)
+    inserted, and allocation repeats until it converges.
+
+    Simplify is a worklist. Each node keeps a count of the colors its
+    precolored conflicts and its not-yet-removed neighbours can block
+    (a neighbour of a wider class blocks several). The count only falls
+    as neighbours are removed, so a node stays colorable once its count
+    is below the registers its class may take. Each step removes the
+    colorable node of lowest pseudo-register id; when none is colorable
+    it removes the node of least [cost / (degree + 1)] (the first such in
+    id order, from a list sorted once, stably). Select then colors in
+    reverse removal order, preferring caller-save registers. *)
 
 type stats = {
   rounds : int;  (** coloring rounds (1 = no spilling needed) *)

@@ -14,12 +14,20 @@ let default_options =
   { anti = true; aux = true; reg_limit = Unlimited; fill_delay = true;
     priority = Max_dist }
 
-let class_cap model limit cls =
-  let avail = List.length (Model.allocable_of_class model cls) in
+(* the live-value cap of each register class (by class id) under a
+   limit; none without one *)
+let class_caps model limit =
+  let caps cap =
+    Some
+      (Array.map
+         (fun (c : Model.rclass) ->
+           cap (List.length (Model.allocable_of_class model c.Model.c_id)))
+         model.Model.classes)
+  in
   match limit with
   | Unlimited -> None
-  | Auto_minus k -> Some (max 1 (avail - k))
-  | Fixed n -> Some (max 1 (min n avail))
+  | Auto_minus k -> caps (fun avail -> max 1 (avail - k))
+  | Fixed n -> caps (fun avail -> max 1 (min n avail))
 
 (* a nop carries no semantics and no operands; pre-existing nops (from an
    earlier scheduling pass) are dropped and re-inserted *)
@@ -33,6 +41,7 @@ type result = {
   length : int;
   dag_nodes : int;
   dag_edges : int;
+  pressure_bound : bool;
 }
 
 let pregs_of_inst which (i : Mir.inst) =
@@ -43,14 +52,26 @@ let pregs_of_inst which (i : Mir.inst) =
       | Some (`Phys _) | None -> None)
     which
 
-let schedule_block ?(options = default_options) ?oracle ?sb_stats
-    (fn : Mir.func) (insts : Mir.inst list) : result =
-  let model = fn.Mir.f_model in
+(* what a block's schedules share, whatever the register limit: the code
+   DAG, the priorities, and the pseudo-registers each node reads and
+   writes *)
+type block = {
+  dag : Dag.t;
+  prio : int array;
+  reads : Mir.preg list array;
+  writes : Mir.preg list array;
+}
+
+type prepared = block option
+
+let prepare ?(options = default_options) ?oracle (fn : Mir.func)
+    (insts : Mir.inst list) : prepared =
   match List.filter (fun i -> not (is_nop i)) insts with
-  | [] -> { order = []; length = 0; dag_nodes = 0; dag_edges = 0 }
+  | [] -> None
   | insts ->
       let dag =
-        Dag.build ~anti:options.anti ~aux:options.aux ?oracle model insts
+        Dag.build ~anti:options.anti ~aux:options.aux ?oracle fn.Mir.f_model
+          insts
       in
       let n = Array.length dag.Dag.insts in
       let prio =
@@ -61,6 +82,26 @@ let schedule_block ?(options = default_options) ?oracle ?sb_stats
                critical path *)
             Array.init n (fun i -> n - i)
       in
+      let pregs which =
+        Array.map (fun i -> pregs_of_inst (which i.Mir.n_op) i) dag.Dag.insts
+      in
+      Some
+        {
+          dag;
+          prio;
+          reads = pregs (fun op -> op.Model.i_reads);
+          writes = pregs (fun op -> op.Model.i_writes);
+        }
+
+let run ?(options = default_options) ?sb_stats (fn : Mir.func)
+    (prepared : prepared) : result =
+  let model = fn.Mir.f_model in
+  match prepared with
+  | None ->
+      { order = []; length = 0; dag_nodes = 0; dag_edges = 0;
+        pressure_bound = false }
+  | Some { dag; prio; reads; writes } ->
+      let n = Array.length dag.Dag.insts in
       let cycle_of = Array.make n (-1) in
       let scheduled = Array.make n false in
       let busy = Scoreboard.create ?stats:sb_stats model in
@@ -69,41 +110,25 @@ let schedule_block ?(options = default_options) ?oracle ?sb_stats
       let cycle = ref 0 in
       (* class-packing state for the current cycle *)
       let cur_class : Bitset.t option ref = ref None in
-      (* IPS pressure state: remaining reads per preg, live count per class *)
+      (* IPS pressure state, kept only under a limit: the cap, live count
+         and pending change per class (by class id), remaining reads per
+         preg, and the live pregs *)
+      let nclasses = Array.length model.Model.classes in
+      let caps = class_caps model options.reg_limit in
+      let live_count = Array.make nclasses 0 in
+      let delta = Array.make nclasses 0 in
+      let refused = ref false in
       let reads_left : (int, int) Hashtbl.t = Hashtbl.create 32 in
-      Array.iter
-        (fun i ->
-          List.iter
-            (fun (p : Mir.preg) ->
-              Hashtbl.replace reads_left p.Mir.p_id
-                (1 + Option.value ~default:0 (Hashtbl.find_opt reads_left p.Mir.p_id)))
-            (pregs_of_inst i.Mir.n_op.Model.i_reads i))
-        dag.Dag.insts;
+      if caps <> None then
+        Array.iter
+          (List.iter (fun (p : Mir.preg) ->
+               Hashtbl.replace reads_left p.Mir.p_id
+                 (1
+                 + Option.value ~default:0
+                     (Hashtbl.find_opt reads_left p.Mir.p_id))))
+          reads;
       let live : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-      let live_count : (int, int) Hashtbl.t = Hashtbl.create 4 in
-      let bump_cls c d =
-        Hashtbl.replace live_count c
-          (d + Option.value ~default:0 (Hashtbl.find_opt live_count c))
-      in
-      let pressure_delta (i : Mir.inst) =
-        (* per-class change in live values if i issues now *)
-        let delta : (int, int) Hashtbl.t = Hashtbl.create 4 in
-        let bump c d =
-          Hashtbl.replace delta c (d + Option.value ~default:0 (Hashtbl.find_opt delta c))
-        in
-        List.iter
-          (fun (p : Mir.preg) ->
-            match Hashtbl.find_opt reads_left p.Mir.p_id with
-            | Some 1 when Hashtbl.mem live p.Mir.p_id -> bump p.Mir.p_cls (-1)
-            | _ -> ())
-          (pregs_of_inst i.Mir.n_op.Model.i_reads i);
-        List.iter
-          (fun (p : Mir.preg) ->
-            if not (Hashtbl.mem live p.Mir.p_id) then bump p.Mir.p_cls 1)
-          (pregs_of_inst i.Mir.n_op.Model.i_writes i);
-        delta
-      in
-      let apply_pressure (i : Mir.inst) =
+      let apply_pressure i =
         List.iter
           (fun (p : Mir.preg) ->
             match Hashtbl.find_opt reads_left p.Mir.p_id with
@@ -111,10 +136,10 @@ let schedule_block ?(options = default_options) ?oracle ?sb_stats
                 Hashtbl.replace reads_left p.Mir.p_id (k - 1);
                 if k - 1 = 0 && Hashtbl.mem live p.Mir.p_id then begin
                   Hashtbl.remove live p.Mir.p_id;
-                  bump_cls p.Mir.p_cls (-1)
+                  live_count.(p.Mir.p_cls) <- live_count.(p.Mir.p_cls) - 1
                 end
             | None -> ())
-          (pregs_of_inst i.Mir.n_op.Model.i_reads i);
+          reads.(i);
         List.iter
           (fun (p : Mir.preg) ->
             let still_read =
@@ -124,9 +149,9 @@ let schedule_block ?(options = default_options) ?oracle ?sb_stats
             in
             if still_read && not (Hashtbl.mem live p.Mir.p_id) then begin
               Hashtbl.replace live p.Mir.p_id ();
-              bump_cls p.Mir.p_cls 1
+              live_count.(p.Mir.p_cls) <- live_count.(p.Mir.p_cls) + 1
             end)
-          (pregs_of_inst i.Mir.n_op.Model.i_writes i)
+          writes.(i)
       in
       (* Rule 1 (paper 4.6): while a temporal edge on clock k is open
          (source scheduled, destination not), other instructions affecting
@@ -172,24 +197,36 @@ let schedule_block ?(options = default_options) ?oracle ?sb_stats
         | Some _ as affects ->
             Temporal.rule1_ok ~affects ~pending:(pending_clocks ()) ~self:i
       in
+      (* i may issue unless it would raise some class's live count past
+         its cap; [delta] is the per-class change if i issues now, and is
+         all zero again on return *)
       let pressure_ok relaxed i =
-        match options.reg_limit with
-        | Unlimited -> true
-        | (Auto_minus _ | Fixed _) as lim ->
+        match caps with
+        | None -> true
+        | Some caps ->
             relaxed
-            ||
-            let delta = pressure_delta dag.Dag.insts.(i) in
-            Hashtbl.fold
-              (fun c d acc ->
-                acc
-                &&
-                match class_cap model lim c with
-                | None -> true
-                | Some cap ->
-                    d <= 0
-                    || Option.value ~default:0 (Hashtbl.find_opt live_count c) + d
-                       <= cap)
-              delta true
+            || begin
+                 List.iter
+                   (fun (p : Mir.preg) ->
+                     match Hashtbl.find_opt reads_left p.Mir.p_id with
+                     | Some 1 when Hashtbl.mem live p.Mir.p_id ->
+                         delta.(p.Mir.p_cls) <- delta.(p.Mir.p_cls) - 1
+                     | _ -> ())
+                   reads.(i);
+                 List.iter
+                   (fun (p : Mir.preg) ->
+                     if not (Hashtbl.mem live p.Mir.p_id) then
+                       delta.(p.Mir.p_cls) <- delta.(p.Mir.p_cls) + 1)
+                   writes.(i);
+                 let ok = ref true in
+                 for c = 0 to nclasses - 1 do
+                   let d = delta.(c) in
+                   if d > 0 && live_count.(c) + d > caps.(c) then ok := false;
+                   delta.(c) <- 0
+                 done;
+                 if not !ok then refused := true;
+                 !ok
+               end
       in
       let branch_ok i =
         (not (is_term dag.Dag.insts.(i).Mir.n_op)) || nonbranch_left () = 0
@@ -223,7 +260,7 @@ let schedule_block ?(options = default_options) ?oracle ?sb_stats
               (* the register-pressure limit never deadlocks the scheduler:
                  if nothing fits under the limit but something is ready,
                  relax (Goodman-Hsu) *)
-              if options.reg_limit <> Unlimited then pick true else None
+              if caps <> None then pick true else None
         in
         match choice with
         | Some i ->
@@ -245,7 +282,7 @@ let schedule_block ?(options = default_options) ?oracle ?sb_stats
                       cur;
                     cur_class := Some inter)
             | None -> ());
-            apply_pressure inst
+            if caps <> None then apply_pressure i
         | None ->
             incr cycle;
             cur_class := None
@@ -257,14 +294,18 @@ let schedule_block ?(options = default_options) ?oracle ?sb_stats
       (* delay slots are filled with nops (paper 4.4) *)
       let final_insts = List.map (fun i -> dag.Dag.insts.(i)) issue_order in
       let dag_edges = List.length dag.Dag.edges in
+      let pressure_bound = !refused in
       if options.fill_delay then begin
         let filled, added = Delay.fill fn final_insts in
         { order = filled; length = max_cycle + 1 + added; dag_nodes = n;
-          dag_edges }
+          dag_edges; pressure_bound }
       end
       else
         { order = final_insts; length = max_cycle + 1; dag_nodes = n;
-          dag_edges }
+          dag_edges; pressure_bound }
+
+let schedule_block ?options ?oracle ?sb_stats fn insts =
+  run ?options ?sb_stats fn (prepare ?options ?oracle fn insts)
 
 let schedule_func ?options ?oracle ?sb_stats (fn : Mir.func) =
   List.fold_left

@@ -48,15 +48,37 @@ type result = {
   length : int;  (** issue span of the block in cycles *)
   dag_nodes : int;  (** nodes of the code DAG the block was scheduled on *)
   dag_edges : int;  (** and its edges *)
+  pressure_bound : bool;
+      (** the register limit refused a candidate at least once. When it
+          did not, every looser limit — a larger [Fixed n] — makes the
+          same picks and gives this same schedule. Always [false] under
+          [Unlimited]. *)
 }
 
 val schedule_block :
   ?options:options -> ?oracle:Dag.oracle -> ?sb_stats:Scoreboard.stats ->
   Mir.func -> Mir.inst list -> result
-(** [oracle] is handed to {!Dag.build} for static memory disambiguation
-    of the block's Mem edges. [sb_stats], when given, accumulates
-    scoreboard probe/conflict/reserve counts across the call (surfaced by
-    [--time-passes]). *)
+(** [prepare] then [run]. [oracle] is handed to {!Dag.build} for static
+    memory disambiguation of the block's Mem edges. [sb_stats], when
+    given, accumulates scoreboard probe/conflict/reserve counts across the
+    call (surfaced by [--time-passes]). *)
+
+type prepared
+(** A block's code DAG and priorities, ready to be scheduled under any
+    register limit. *)
+
+val prepare :
+  ?options:options -> ?oracle:Dag.oracle -> Mir.func -> Mir.inst list ->
+  prepared
+(** Build the block's DAG and priorities. Reads [anti], [aux] and
+    [priority] of [options] only. *)
+
+val run :
+  ?options:options -> ?sb_stats:Scoreboard.stats -> Mir.func -> prepared ->
+  result
+(** Schedule a prepared block. Reads [reg_limit] and [fill_delay] of
+    [options] only, so one [prepare] serves every register budget (the
+    RASE sweep). [run] does not change the prepared block. *)
 
 val schedule_func :
   ?options:options -> ?oracle:Dag.oracle -> ?sb_stats:Scoreboard.stats ->

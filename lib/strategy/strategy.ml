@@ -201,34 +201,48 @@ let max_budget (model : Model.t) =
       max acc (List.length (Model.allocable_of_class model c.Model.c_id)))
     1 model.Model.classes
 
-(* RASE's expensive half: gather schedule cost estimates under varying
-   register budgets (the scheduler runs once per budget per block) and
-   keep the budget where the estimated cost stops improving *)
+(* RASE's expensive half: the schedule cost of the function under each
+   register budget 1..max_budget (element [n - 1] is budget [n]), and
+   the block schedules run to get it. Each block's DAG and priorities
+   are built once and rescheduled per budget. A block stops at the first
+   budget under which the limit never refused a candidate: every larger
+   budget makes the same picks, so that length carries forward to the
+   remaining budgets. *)
 (* oracle-free like [p_ips_prepass]: the sweep's estimates must model
    the schedules the (pre-allocation, hence conservative) rase-prepass
    will actually produce, or the chosen budget is tuned for a different
    scheduler than the one that runs *)
-let p_rase_sweep =
-  Pass.v "rase-sweep" (fun st fn ->
-      let budgets = max_budget fn.Mir.f_model in
-      let cost_at = Array.make (budgets + 1) max_int in
-      for n = 1 to budgets do
+let rase_costs ?sb_stats (fn : Mir.func) =
+  let budgets = max_budget fn.Mir.f_model in
+  let cost = Array.make budgets 0 in
+  let runs = ref 0 in
+  List.iter
+    (fun (b : Mir.block) ->
+      let block = Listsched.prepare ~options:no_delay fn b.Mir.b_insts in
+      let rec sweep n =
         let options =
           { no_delay with Listsched.reg_limit = Listsched.Fixed n }
         in
-        let total =
-          List.fold_left
-            (fun acc (_, len) -> acc + len)
-            0
-            (with_sb_stats st (fun sb ->
-                 Listsched.estimate_func ~options ~sb_stats:sb fn))
-        in
-        st.Pass.sched_passes <- st.Pass.sched_passes + count_blocks fn;
-        cost_at.(n) <- total
-      done;
+        let r = Listsched.run ~options ?sb_stats fn block in
+        incr runs;
+        let last = if r.Listsched.pressure_bound then n else budgets in
+        for m = n to last do
+          cost.(m - 1) <- cost.(m - 1) + r.Listsched.length
+        done;
+        if last < budgets then sweep (n + 1)
+      in
+      sweep 1)
+    fn.Mir.f_blocks;
+  (cost, !runs)
+
+(* keep the budget where the estimated cost stops improving *)
+let p_rase_sweep =
+  Pass.v "rase-sweep" (fun st fn ->
+      let cost, runs = with_sb_stats st (fun sb -> rase_costs ~sb_stats:sb fn) in
+      st.Pass.sched_passes <- st.Pass.sched_passes + runs;
       let best = ref 1 in
-      for n = 2 to budgets do
-        if cost_at.(n) < cost_at.(!best) then best := n
+      for n = 2 to Array.length cost do
+        if cost.(n - 1) < cost.(!best - 1) then best := n
       done;
       st.Pass.reg_budget <- Some !best)
 

@@ -45,6 +45,21 @@ val pipeline : ?disambig:bool -> name -> Pass.t list
     are identical either way — the flag is part of the cache key
     ({!pipeline_key}), not the pass list. *)
 
+val max_budget : Model.t -> int
+(** The largest register budget the RASE sweep tries: the allocable
+    registers of the model's largest class. *)
+
+val rase_costs : ?sb_stats:Scoreboard.stats -> Mir.func -> int array * int
+(** The sweep of the ["rase-sweep"] pass: the total schedule length of
+    the function's blocks under each register budget [1..max_budget]
+    (element [n - 1] is budget [n]; {!Listsched.Fixed} limits, no delay
+    filling, no memory disambiguation), and the number of block schedules
+    run to get them. Each block's DAG is built once ({!Listsched.prepare})
+    and rescheduled per budget up to the first budget under which the
+    limit never binds ([Listsched.result.pressure_bound]); that length
+    then stands for every larger budget too. The pass keeps the first
+    budget of least total. The function is not changed. *)
+
 type on_error = [ `Abort | `Degrade | `Skip ]
 (** What the driver does when a pass faults — raises, exceeds the pass
     deadline, or trips an injected fault ({!Finject}) — while compiling
@@ -142,7 +157,9 @@ type report = {
   block_estimates : (string, int) Hashtbl.t;
       (** scheduler cost estimate per block label — the estimated-cycles
           side of Table 4 *)
-  schedule_passes : int;  (** how many block schedules were computed *)
+  schedule_passes : int;
+      (** how many block schedules were computed (for RASE, the sweep
+          schedules actually run: {!rase_costs}) *)
   check_diags : Diag.t list;
       (** warnings from the phase verifier (and, through {!compile}, the
           description linter), grouped per function in program order;

@@ -196,6 +196,41 @@ let test_liveness_basic () =
   let out = Hashtbl.find live.Liveness.live_out entry.Mir.b_label in
   check Alcotest.bool "live-out non-empty" false (Liveness.KeySet.is_empty out)
 
+(* the spill-pick path: Livermore kernel 8 on TOYP spills under every
+   register budget. Each budget from two registers up must converge
+   ([allocate] raises when it does not, or when its self-check finds
+   overlapping colors) and the spilled code must still compute what the
+   reference interpreter does. One register cannot hold both sources of
+   a two-operand instruction, so a budget of one must be refused with
+   the allocator's diagnostic, not looped on or miscompiled. *)
+let test_budget_sweep_lfk8 () =
+  let m = Lazy.force toyp in
+  let src = Livermore.source 8 in
+  let oracle = Marion.interpret ~file:"lfk8" src in
+  (match compile_alloc ~max_local:1 m src with
+  | exception Loc.Error _ -> ()
+  | _ -> Alcotest.fail "max_local 1 allocated lfk8");
+  for k = 2 to Strategy.max_budget m do
+    let prog, stats = compile_alloc ~max_local:k m src in
+    List.iter assert_all_physical prog.Mir.p_funcs;
+    check Alcotest.bool
+      (Printf.sprintf "max_local %d spills" k)
+      true
+      (List.exists (fun (s : Regalloc.stats) -> s.Regalloc.spilled > 0) stats);
+    List.iter
+      (fun fn ->
+        Delay.fill_func fn;
+        Frame.layout fn)
+      prog.Mir.p_funcs;
+    let r = Sim.run prog in
+    check Alcotest.string
+      (Printf.sprintf "max_local %d output" k)
+      oracle.Cinterp.output r.Sim.output;
+    check Alcotest.int
+      (Printf.sprintf "max_local %d exit" k)
+      oracle.Cinterp.return_value r.Sim.return_value
+  done
+
 let suite =
   [
     Alcotest.test_case "allocation completes, no pregs left" `Quick
@@ -211,4 +246,6 @@ let suite =
     Alcotest.test_case "max_local budget forces spills" `Quick test_max_local_budget;
     Alcotest.test_case "loop depth detection" `Quick test_liveness_loop_depth;
     Alcotest.test_case "liveness basics" `Quick test_liveness_basic;
+    Alcotest.test_case "lfk8 under every max_local budget" `Quick
+      test_budget_sweep_lfk8;
   ]

@@ -70,6 +70,64 @@ let test_strategy_names () =
     Strategy.all;
   check Alcotest.bool "unknown" true (Strategy.of_string "wombat" = None)
 
+(* the RASE sweep schedules each block only up to the first budget that
+   never binds; recomputing every budget from scratch with the plain
+   estimator must give the same totals and the same chosen budget *)
+let test_rase_sweep_matches_full_sweep () =
+  let targets =
+    [
+      ("toyp", Toyp.load ()); ("r2000", Lazy.force r2000);
+      ("m88000", M88000.load ()); ("i860", I860.load ());
+    ]
+  in
+  let sweep = List.hd (Strategy.pipeline Strategy.Rase) in
+  check Alcotest.string "first RASE pass" "rase-sweep" sweep.Pass.name;
+  List.iter
+    (fun (tname, model) ->
+      let budgets = Strategy.max_budget model in
+      List.iter
+        (fun (k : Livermore.kernel) ->
+          let file = Printf.sprintf "lfk%d" k.Livermore.k_id in
+          match
+            Select.select_prog model
+              (Cgen.compile ~file (k.Livermore.k_source 1))
+          with
+          | exception Select.No_pattern _ -> ()
+          | prog ->
+              List.iter
+                (fun (fn : Mir.func) ->
+                  let cell = Printf.sprintf "%s %s %s" tname file fn.Mir.f_name in
+                  let full =
+                    Array.init budgets (fun i ->
+                        let options =
+                          {
+                            Listsched.default_options with
+                            fill_delay = false;
+                            reg_limit = Listsched.Fixed (i + 1);
+                          }
+                        in
+                        List.fold_left
+                          (fun acc (_, len) -> acc + len)
+                          0
+                          (Listsched.estimate_func ~options fn))
+                  in
+                  let best = ref 1 in
+                  Array.iteri
+                    (fun i c -> if c < full.(!best - 1) then best := i + 1)
+                    full;
+                  let cost, runs = Strategy.rase_costs fn in
+                  check Alcotest.(array int) (cell ^ " totals") full cost;
+                  check Alcotest.bool (cell ^ " runs") true
+                    (runs <= budgets * List.length fn.Mir.f_blocks);
+                  let st = Pass.run_pipeline [ sweep ] fn in
+                  check Alcotest.(option int) (cell ^ " budget") (Some !best)
+                    st.Pass.reg_budget;
+                  check Alcotest.int (cell ^ " passes") runs
+                    st.Pass.sched_passes)
+                prog.Mir.p_funcs)
+        Livermore.kernels)
+    targets
+
 let suite =
   [
     Alcotest.test_case "all strategies correct" `Quick test_all_strategies_correct;
@@ -78,4 +136,6 @@ let suite =
     Alcotest.test_case "estimates populated" `Quick test_estimates_populated;
     Alcotest.test_case "naive spills globals" `Quick test_naive_is_local_only;
     Alcotest.test_case "strategy names" `Quick test_strategy_names;
+    Alcotest.test_case "RASE sweep == full per-budget sweep" `Quick
+      test_rase_sweep_matches_full_sweep;
   ]
