@@ -98,19 +98,19 @@ let goldens =
     (("toyp", "naive"), "3423614287229df2dc24ba9b9786641f");
     (("toyp", "postpass"), "b4319e39ebe0cc889f421543f086b8ea");
     (("toyp", "ips"), "9f28f901ec5086a4f78dae507a7fdeec");
-    (("toyp", "rase"), "76a532c5f6dfe979695b84495d28105e");
+    (("toyp", "rase"), "d34bed1aa15dcea7d60b85c052d6df8e");
     (("r2000", "naive"), "4889300946c7beb0b599d9bc8cb2295a");
     (("r2000", "postpass"), "7bc0edc6b0ee2ba912a20f6782503d86");
     (("r2000", "ips"), "18d483483ad20381cf76801471968727");
-    (("r2000", "rase"), "98341dd104b6327fe839175703ef9f14");
+    (("r2000", "rase"), "0416f73c4f52b200672ca9ab5c8c1326");
     (("m88000", "naive"), "eb086a968d1ca0ffbbc5870eab546ce5");
     (("m88000", "postpass"), "dba6ec718491b5965dc810ce996421dd");
     (("m88000", "ips"), "5e980f473ad378e3082c587323770773");
-    (("m88000", "rase"), "9d630a000e91379de491df1b60f6dedf");
+    (("m88000", "rase"), "0412a0f441c365817854832f4cb82e03");
     (("i860", "naive"), "e495ab8099784bde49d3e1f8926f467e");
     (("i860", "postpass"), "b40c3a8905f1ef8dbd865d9fe64b2933");
     (("i860", "ips"), "6b29d30eb379e035dc2c14d1b1b13f57");
-    (("i860", "rase"), "94f1fc391e83f961a25db41dc5887efb");
+    (("i860", "rase"), "a6ec6601eb174c64402a6dfabf628011");
   ]
 
 let test_bit_identity ~jobs () =
