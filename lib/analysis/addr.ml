@@ -251,8 +251,11 @@ module Dom = struct
 
   let direction = Dataflow.Forward
 
-  let boundary (fn : Mir.func) =
-    Env.singleton (Locs.Lh fn.Mir.f_model.Model.cwvm.Model.v_fp) Vfp
+  let init (fn : Mir.func) (b : Mir.block) =
+    match fn.Mir.f_blocks with
+    | entry :: _ when entry.Mir.b_label = b.Mir.b_label ->
+        Some (Env.singleton (Locs.Lh fn.Mir.f_model.Model.cwvm.Model.v_fp) Vfp)
+    | _ -> None
 
   let equal = Env.equal (fun (a : value) b -> a = b)
 

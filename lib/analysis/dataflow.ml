@@ -13,7 +13,7 @@ module type DOMAIN = sig
 
   val direction : direction
 
-  val boundary : Mir.func -> fact
+  val init : Mir.func -> Mir.block -> fact option
 
   val equal : fact -> fact -> bool
 
@@ -39,6 +39,8 @@ module Solve (D : DOMAIN) = struct
     let n = Array.length blocks in
     let index = Hashtbl.create (2 * n) in
     Array.iteri (fun i b -> Hashtbl.replace index b.Mir.b_label i) blocks;
+    (* a label is one node: the last block bearing it *)
+    let node i = Hashtbl.find index blocks.(i).Mir.b_label in
     let preds = Array.make n [] and succs = Array.make n [] in
     (* build in reverse block order so the adjacency lists come out in
        layout order — joins are then applied deterministically *)
@@ -47,8 +49,8 @@ module Solve (D : DOMAIN) = struct
         (fun l ->
           match Hashtbl.find_opt index l with
           | Some j ->
-              succs.(i) <- j :: succs.(i);
-              preds.(j) <- i :: preds.(j)
+              succs.(node i) <- j :: succs.(node i);
+              preds.(j) <- node i :: preds.(j)
           | None -> ())
         (List.rev blocks.(i).Mir.b_succs)
     done;
@@ -58,11 +60,6 @@ module Solve (D : DOMAIN) = struct
       match D.direction with
       | Forward -> (preds, succs)
       | Backward -> (succs, preds)
-    in
-    let is_boundary i =
-      match D.direction with
-      | Forward -> i = 0
-      | Backward -> blocks.(i).Mir.b_succs = []
     in
     (* [None] is bottom: the block has not been reached by any fact yet *)
     let inb : D.fact option array = Array.make n None in
@@ -75,14 +72,15 @@ module Solve (D : DOMAIN) = struct
         Queue.add i work
       end
     in
+    let start i = if node i = i then enqueue i in
     (match D.direction with
     | Forward ->
         for i = 0 to n - 1 do
-          enqueue i
+          start i
         done
     | Backward ->
         for i = n - 1 downto 0 do
-          enqueue i
+          start i
         done);
     let iters = ref 0 in
     while not (Queue.is_empty work) do
@@ -95,7 +93,7 @@ module Solve (D : DOMAIN) = struct
             | None, acc -> acc
             | Some f, None -> Some f
             | Some f, Some g -> Some (D.join g f))
-          (if is_boundary i then Some (D.boundary fn) else None)
+          (D.init fn blocks.(i))
           sources.(i)
       in
       match incoming with
@@ -123,21 +121,18 @@ module Solve (D : DOMAIN) = struct
     done;
     let flow_in = Hashtbl.create (2 * n) in
     let flow_out = Hashtbl.create (2 * n) in
-    let facts = ref 0 in
     Array.iteri
       (fun i b ->
-        Option.iter
-          (fun f ->
-            facts := !facts + D.nfacts f;
-            Hashtbl.replace flow_in b.Mir.b_label f)
-          inb.(i);
-        Option.iter (fun f -> Hashtbl.replace flow_out b.Mir.b_label f) outb.(i))
+        Option.iter (Hashtbl.replace flow_in b.Mir.b_label) inb.(i);
+        Option.iter (Hashtbl.replace flow_out b.Mir.b_label) outb.(i))
       blocks;
     Option.iter
       (fun (s : stats) ->
         s.solves <- s.solves + 1;
         s.iterations <- s.iterations + !iters;
-        s.facts <- s.facts + !facts)
+        Array.iter
+          (Option.iter (fun f -> s.facts <- s.facts + D.nfacts f))
+          inb)
       stats;
     { flow_in; flow_out }
 end

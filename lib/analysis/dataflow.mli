@@ -1,21 +1,26 @@
 (** A reusable dataflow framework over the MIR control-flow graph.
 
     A client packages its lattice as a {!DOMAIN} — a fact type with join,
-    equality, a boundary fact and a per-block transfer function — and
-    {!Solve} produces the classic worklist fixpoint over a function's
+    equality, per-block initial facts and a per-block transfer function —
+    and {!Solve} produces the classic worklist fixpoint over a function's
     blocks, in either direction. Facts attach to block edges of the flow:
     for a {e forward} problem the incoming fact of a block is the join of
-    its predecessors' outgoing facts (the entry block additionally joined
-    with the boundary); for a {e backward} problem incoming means {e at
-    block exit} (joined from successors; exit blocks — no successors —
-    get the boundary) and the transfer walks the block in reverse.
+    its initial fact and its predecessors' outgoing facts; for a
+    {e backward} problem incoming means {e at block exit} (joined from
+    successors) and the transfer walks the block in reverse.
 
-    Bottom is represented outside the domain: a block no fact has reached
-    yet simply has no entry in the result, so clients need no artificial
-    bottom element and unreachable blocks are distinguishable from blocks
-    with an empty fact. Termination requires the usual: [join] computes a
-    least upper bound in a lattice of finite height and [transfer] is
-    monotone. *)
+    A label is one node of the flow: where blocks share a label, the
+    last of them carries its transfer and each contributes its
+    successors, and results are found by label.
+
+    Bottom is represented outside the domain: a block with no initial
+    fact that no fact has reached yet simply has no entry in the result,
+    so clients need no artificial bottom element and unreachable blocks
+    are distinguishable from blocks with an empty fact. A client whose
+    lattice has a least element gives it to every block as its initial
+    fact, and every block then gets the least fixpoint. Termination
+    requires the usual: [join] computes a least upper bound in a lattice
+    of finite height and [transfer] is monotone. *)
 
 type stats = {
   mutable solves : int;  (** fixpoints computed *)
@@ -33,20 +38,22 @@ module type DOMAIN = sig
 
   val direction : direction
 
-  val boundary : Mir.func -> fact
-  (** The fact at the flow's boundary: function entry (forward) or every
-      exit block (backward). *)
+  val init : Mir.func -> Mir.block -> fact option
+  (** The fact joined into the block's incoming fact before any flow
+      from its sources: the function-entry fact on the entry block of a
+      classic forward problem, [None] elsewhere. *)
 
   val equal : fact -> fact -> bool
 
   val join : fact -> fact -> fact
   (** Least upper bound of two incoming facts. Must be commutative and
-      associative up to [equal]. *)
+      associative up to [equal], and must not mutate its arguments: the
+      solver keeps every fact it is given. *)
 
   val transfer : Mir.func -> Mir.block -> fact -> fact
   (** The block's effect on a fact, walking its instructions in flow
       order (reverse instruction order for a backward problem). Must be
-      monotone. *)
+      monotone, and must not mutate its argument. *)
 
   val nfacts : fact -> int
   (** Size measure for profiling ({!stats.facts}). *)

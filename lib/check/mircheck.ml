@@ -96,14 +96,6 @@ let entry_seed ks model =
   List.iter (fun r -> set_reg ks model s r) regs;
   s
 
-type avail = Top | Known of Bitset.t
-
-let avail_equal a b =
-  match (a, b) with
-  | Top, Top -> true
-  | Known x, Known y -> Bitset.equal x y
-  | Top, Known _ | Known _, Top -> false
-
 (* record one instruction's defs into [set] (clobbers count: the bytes
    hold *a* value afterwards, which is all M031 asks). The operand walk
    reads [i_writes] directly rather than going through {!Mir.inst_defs},
@@ -418,145 +410,84 @@ let check_func ?(options = default_options) phase (fn : Mir.func) :
     List.iter check_temporal fn.Mir.f_blocks;
 
   (* ---------------- def-before-use (M031) ---------------- *)
-  (if options.def_use then
-     match fn.Mir.f_blocks with
-     | [] -> ()
-     | entry :: _ ->
-         (* reachability: unreachable blocks carry no obligations *)
-         let reachable = Hashtbl.create 16 in
-         let rec visit lbl =
-           if not (Hashtbl.mem reachable lbl) then begin
-             Hashtbl.add reachable lbl ();
-             match Hashtbl.find_opt labels lbl with
-             | Some (b : Mir.block) -> List.iter visit b.Mir.b_succs
-             | None -> ()
-           end
-         in
-         visit entry.Mir.b_label;
-         (* predecessors over resolvable successors *)
-         let preds = Hashtbl.create 16 in
-         List.iter
-           (fun (b : Mir.block) ->
+  (* a forward dataflow client, meet = intersection: blocks the entry
+     reaches no fact from carry no obligations *)
+  (if options.def_use then begin
+     let ks = keyspace model fn in
+     let seed = entry_seed ks model in
+     let module S = Dataflow.Solve (struct
+       type fact = Bitset.t
+
+       let direction = Dataflow.Forward
+
+       let init _ (b : Mir.block) =
+         match fn.Mir.f_blocks with
+         | entry :: _ when entry.Mir.b_label = b.Mir.b_label -> Some seed
+         | _ -> None
+
+       let equal = Bitset.equal
+
+       let join a b =
+         let m = Bitset.copy a in
+         Bitset.inter_into ~dst:m b;
+         m
+
+       let transfer _ (b : Mir.block) s =
+         let s = Bitset.copy s in
+         List.iter (add_inst_defs ks model s) b.Mir.b_insts;
+         s
+
+       let nfacts = Bitset.cardinal
+     end) in
+     let assigned = S.solve fn in
+     (* walk each reached block, checking uses before defs *)
+     List.iter
+       (fun (b : Mir.block) ->
+         match S.flow_in assigned b.Mir.b_label with
+         | None -> ()
+         | Some s0 ->
+             let cur = Bitset.copy s0 in
              List.iter
-               (fun s ->
-                 if Hashtbl.mem labels s then
-                   Hashtbl.replace preds s
-                     (b.Mir.b_label
-                     :: Option.value ~default:[]
-                          (Hashtbl.find_opt preds s)))
-               b.Mir.b_succs)
-           fn.Mir.f_blocks;
-         (* per-block generated definitions *)
-         let ks = keyspace model fn in
-         let gen = Hashtbl.create 16 in
-         List.iter
-           (fun (b : Mir.block) ->
-             let s = Bitset.create ks.cap in
-             List.iter (add_inst_defs ks model s) b.Mir.b_insts;
-             Hashtbl.replace gen b.Mir.b_label s)
-           fn.Mir.f_blocks;
-         let seed = Known (entry_seed ks model) in
-         (* optimistic forward fixpoint, meet = intersection. Outs are
-            cached (recomputed only when a block's in changes) and the
-            meet accumulator is mutated in place: the fixpoint reruns at
-            every phase point, so copies are kept to one per update. *)
-         let inb = Hashtbl.create 16 and outb = Hashtbl.create 16 in
-         List.iter
-           (fun (b : Mir.block) ->
-             Hashtbl.replace inb b.Mir.b_label Top;
-             Hashtbl.replace outb b.Mir.b_label Top)
-           fn.Mir.f_blocks;
-         let out lbl =
-           match Hashtbl.find_opt outb lbl with None -> Top | Some v -> v
-         in
-         (* acc is owned by the fold and safe to mutate; cached outs and
-            the seed are read-only *)
-         let meet_into acc v =
-           match (acc, v) with
-           | Top, Top -> Top
-           | Top, Known s -> Known (Bitset.copy s)
-           | Known _, Top -> acc
-           | Known d, Known s ->
-               Bitset.inter_into ~dst:d s;
-               acc
-         in
-         let changed = ref true in
-         while !changed do
-           changed := false;
-           List.iter
-             (fun (b : Mir.block) ->
-               let lbl = b.Mir.b_label in
-               let from_preds =
-                 List.fold_left
-                   (fun acc p -> meet_into acc (out p))
-                   Top
-                   (Option.value ~default:[] (Hashtbl.find_opt preds lbl))
-               in
-               let v =
-                 if lbl = entry.Mir.b_label then meet_into from_preds seed
-                 else from_preds
-               in
-               if not (avail_equal v (Hashtbl.find inb lbl)) then begin
-                 Hashtbl.replace inb lbl v;
-                 Hashtbl.replace outb lbl
-                   (match v with
-                   | Top -> Top
-                   | Known s ->
-                       let z = Bitset.copy s in
-                       Bitset.union_into ~dst:z (Hashtbl.find gen lbl);
-                       Known z);
-                 changed := true
-               end)
-             fn.Mir.f_blocks
-         done;
-         (* walk each reachable block, checking uses before defs *)
-         List.iter
-           (fun (b : Mir.block) ->
-             if Hashtbl.mem reachable b.Mir.b_label then
-               match Hashtbl.find inb b.Mir.b_label with
-               | Top -> ()
-               | Known s0 ->
-                   let cur = Bitset.copy s0 in
-                   List.iter
-                     (fun (i : Mir.inst) ->
-                       iter_unassigned_uses ks model cur
-                         ~missing:(fun use ->
-                           report ~loc:i.Mir.n_op.Model.i_loc
-                             ~block:b.Mir.b_label ~code:"M031"
-                             "%s reads %s, which is not assigned on \
-                              every path from function entry"
-                             i.Mir.n_op.Model.i_name (use_name model use))
-                         i;
-                       add_inst_defs ks model cur i)
-                     b.Mir.b_insts)
-           fn.Mir.f_blocks);
+               (fun (i : Mir.inst) ->
+                 iter_unassigned_uses ks model cur
+                   ~missing:(fun use ->
+                     report ~loc:i.Mir.n_op.Model.i_loc ~block:b.Mir.b_label
+                       ~code:"M031"
+                       "%s reads %s, which is not assigned on every path \
+                        from function entry"
+                       i.Mir.n_op.Model.i_name (use_name model use))
+                   i;
+                 add_inst_defs ks model cur i)
+               b.Mir.b_insts)
+       fn.Mir.f_blocks
+   end);
 
   (* -------- global dataflow diagnostics (A001/A002, warnings) ------- *)
   (* Post_select only: pseudo-registers exist there, and later phases
      would re-report facts the allocator has already consumed. Both are
-     warnings from the lib/analysis liveness client: A001 overlaps M031's
-     error (the definitely-assigned analysis), but reports per pseudo
-     with its live-in path; A002 has no M-series counterpart. *)
+     warnings from the liveness the allocator also reads: A001 overlaps
+     M031's error (the definitely-assigned analysis), but reports per
+     pseudo with its live-in path; A002 has no M-series counterpart. *)
   (if options.global_dataflow && phase = Diag.Post_select then begin
-     let live = Glive.compute fn in
+     let live = Liveness.compute fn in
      List.iter
-       (fun (u : Glive.uninit) ->
-         let loc =
-           Option.map (fun (i : Mir.inst) -> i.Mir.n_op.Model.i_loc) u.Glive.u_inst
-         in
-         report ~severity:Diag.Warning ?loc ~block:u.Glive.u_block
-           ~code:"A001" "%s is live into the function entry: it may be \
-                         used before being assigned"
-           (preg_name u.Glive.u_preg))
-       (Glive.uninitialized live fn);
+       (fun (u : Liveness.uninit) ->
+         report ~severity:Diag.Warning
+           ~loc:u.Liveness.u_inst.Mir.n_op.Model.i_loc
+           ~block:u.Liveness.u_block ~code:"A001"
+           "%s is live into the function entry: it may be used before \
+            being assigned"
+           (preg_name u.Liveness.u_preg))
+       (Liveness.uninitialized live fn);
      List.iter
-       (fun (d : Glive.dead) ->
-         report ~severity:Diag.Warning ~loc:d.Glive.k_inst.Mir.n_op.Model.i_loc
-           ~block:d.Glive.k_block ~code:"A002"
+       (fun (d : Liveness.dead) ->
+         report ~severity:Diag.Warning
+           ~loc:d.Liveness.k_inst.Mir.n_op.Model.i_loc
+           ~block:d.Liveness.k_block ~code:"A002"
            "%s defines only dead value(s) (%s): the result is never read"
-           d.Glive.k_inst.Mir.n_op.Model.i_name
-           (String.concat ", " (List.map preg_name d.Glive.k_pregs)))
-       (Glive.dead_stores live fn)
+           d.Liveness.k_inst.Mir.n_op.Model.i_name
+           (String.concat ", " (List.map preg_name d.Liveness.k_pregs)))
+       (Liveness.dead_stores live fn)
    end);
 
   (* ---------------- hazard replay (M045, opt-in) ---------------- *)

@@ -168,7 +168,8 @@ let schedval_func ?(disambig = false) ?analysis ~before (after : Mir.func) =
    entry), tracked separately for the input (pre-allocation) and output
    (post-allocation) versions, so %equiv pair clobbering falls out of
    byte overlap. Pseudo-registers carry a current tag on the input side;
-   allocator-created spill slots carry one on the output side. *)
+   allocator-created spill slots are byte arrays of tags on the output
+   side, so a store of one half retags only that half. *)
 
 type bank_state = int array array
 
@@ -270,7 +271,9 @@ let regval_func ~before (after : Mir.func) =
     in
     let ptag : (int, int) Hashtbl.t = Hashtbl.create 16 in
     let pentry : (int, int) Hashtbl.t = Hashtbl.create 16 in
-    let slot_tag : (int, int) Hashtbl.t = Hashtbl.create 8 in
+    let slot_bytes : (int, int array) Hashtbl.t = Hashtbl.create 8 in
+    (* the value a partial def of a spilled pseudo replaced, by new tag *)
+    let prev_tag : (int, int) Hashtbl.t = Hashtbl.create 8 in
     let tag_of_preg (p : Mir.preg) =
       match Hashtbl.find_opt ptag p.Mir.p_id with
       | Some t -> t
@@ -289,9 +292,9 @@ let regval_func ~before (after : Mir.func) =
           if not (Hashtbl.mem ptag pid) then Hashtbl.replace ptag pid t;
           t
     in
-    let slot_value s =
-      match Hashtbl.find_opt slot_tag s with
-      | Some t -> t
+    let slot_of_id s =
+      match Hashtbl.find_opt slot_bytes s with
+      | Some a -> a
       | None ->
           (* first touch: the slot holds its pseudo's block-entry value *)
           let t =
@@ -299,8 +302,14 @@ let regval_func ~before (after : Mir.func) =
             | Some pid -> entry_tag pid
             | None -> fresh_tag ()
           in
-          Hashtbl.replace slot_tag s t;
-          t
+          let size =
+            List.fold_left
+              (fun acc (id, size, _) -> if id = s then size else acc)
+              0 after.Mir.f_slots
+          in
+          let a = Array.make (max size 1) t in
+          Hashtbl.replace slot_bytes s a;
+          a
     in
     (* Lazy live-in binding: untouched physical storage is bound to a
        fresh value at first touch — on BOTH sides, because a block-entry
@@ -434,7 +443,9 @@ let regval_func ~before (after : Mir.func) =
                   write_bytes bytes_out b t;
                   if partial then
                     Option.iter
-                      (fun old -> extend_adjacent bytes_out b ~old t)
+                      (fun old ->
+                        extend_adjacent bytes_out b ~old t;
+                        Hashtbl.replace prev_tag t old)
                       old
               | None ->
                   report ~code:"V012"
@@ -512,15 +523,25 @@ let regval_func ~before (after : Mir.func) =
       Array.fold_left
         (fun acc o ->
           match (acc, o) with
-          | None, Mir.Oslot (s, _) when s >= base_slot -> Some s
+          | None, Mir.Oslot (s, off) when s >= base_slot -> Some (s, off)
           | _ -> acc)
         None i.Mir.n_ops
+    in
+    (* the slot bytes a spill access of register [w] at [off] covers *)
+    let slot_range o (s, off) w =
+      let a = slot_of_id s and bk, roff, size = Model.reg_bytes model w in
+      if off < 0 || off + size > Array.length a then begin
+        report ~code:"V016" "spill access `%a' lies outside its slot"
+          (pp_i model) o;
+        None
+      end
+      else Some (a, bk, roff, size)
     in
     let handle_fresh (o : Mir.inst) =
       if Listsched.is_nop o then ()
       else
         match spill_slot_of o with
-        | Some s when o.Mir.n_op.Model.i_loads -> (
+        | Some sl when o.Mir.n_op.Model.i_loads -> (
             (* spill reload: the destination receives the slot's value *)
             let dst =
               List.fold_left
@@ -535,13 +556,15 @@ let regval_func ~before (after : Mir.func) =
             in
             match dst with
             | Some w ->
-                write_bytes bytes_out (Model.reg_bytes model w)
-                  (slot_value s)
+                Option.iter
+                  (fun (a, bk, roff, size) ->
+                    Array.blit a (snd sl) bytes_out.(bk) roff size)
+                  (slot_range o sl w)
             | None ->
                 report ~code:"V016"
                   "inserted reload `%a' has no register destination"
                   (pp_i model) o)
-        | Some s when o.Mir.n_op.Model.i_stores -> (
+        | Some sl when o.Mir.n_op.Model.i_stores -> (
             (* spill store: the slot receives the value register's tag;
                the frame pointer base is not the value *)
             let vals =
@@ -555,9 +578,21 @@ let regval_func ~before (after : Mir.func) =
             match vals with
             | [ w ] -> (
                 let b = Model.reg_bytes model w in
+                let store t =
+                  Option.iter
+                    (fun (a, _, _, size) ->
+                      let off = snd sl in
+                      Array.fill a off size t;
+                      (* a half store completes the value its partial def
+                         made from the slot's other half *)
+                      Option.iter
+                        (fun old -> extend_adjacent [| a |] (0, off, size) ~old t)
+                        (Hashtbl.find_opt prev_tag t))
+                    (slot_range o sl w)
+                in
                 match read_bytes bytes_out b with
-                | `Tag t -> Hashtbl.replace slot_tag s t
-                | `Untouched -> Hashtbl.replace slot_tag s (bind_entry b)
+                | `Tag t -> store t
+                | `Untouched -> store (bind_entry b)
                 | `Mixed ->
                     report ~code:"V020"
                       "spill store `%a' writes a partially clobbered value"

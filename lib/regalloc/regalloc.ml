@@ -57,79 +57,114 @@ let collect_pregs (fn : Mir.func) no_spill_ids =
 let classes_may_overlap model c1 c2 =
   (Model.class_exn model c1).Model.c_bank = (Model.class_exn model c2).Model.c_bank
 
+(* back edges in layout order delimit loops; nesting = number of enclosing
+   [header; latch] ranges *)
+let loop_depth (fn : Mir.func) =
+  let labels = List.map (fun (b : Mir.block) -> b.Mir.b_label) fn.Mir.f_blocks in
+  let index = Hashtbl.create 16 in
+  List.iteri (fun i l -> Hashtbl.replace index l i) labels;
+  let ranges = ref [] in
+  List.iteri
+    (fun bi (b : Mir.block) ->
+      List.iter
+        (fun succ ->
+          match Hashtbl.find_opt index succ with
+          | Some hi when hi <= bi -> ranges := (hi, bi) :: !ranges
+          | Some _ | None -> ())
+        b.Mir.b_succs)
+    fn.Mir.f_blocks;
+  let depth = Hashtbl.create 16 in
+  List.iteri
+    (fun i l ->
+      let d =
+        List.fold_left
+          (fun acc (lo, hi) -> if i >= lo && i <= hi then acc + 1 else acc)
+          0 !ranges
+      in
+      Hashtbl.replace depth l d)
+    labels;
+  depth
+
+(* Edges join pseudo-registers, never halves: each instruction's defs and
+   the live keys are visited once per pseudo (its two halves are adjacent
+   keys, so the ascending walk meets them in a row). *)
 let build_graph (fn : Mir.func) nodes =
   let model = fn.Mir.f_model in
   let live = Liveness.compute fn in
-  let depth = Liveness.loop_depth fn in
+  let depth = loop_depth fn in
+  let forbid a k =
+    let n = Hashtbl.find nodes a and r = Liveness.reg live k in
+    if
+      classes_may_overlap model n.preg.Mir.p_cls r.Model.cls
+      && not (List.exists (Model.reg_equal r) n.forbidden)
+    then n.forbidden <- r :: n.forbidden
+  in
   let add_edge k1 k2 =
-    match (k1, k2) with
-    | Liveness.Kp a, Liveness.Kp b when a <> b ->
+    let a = Liveness.pseudo live k1 and b = Liveness.pseudo live k2 in
+    if a >= 0 && b >= 0 then begin
+      if a <> b then begin
         let na = Hashtbl.find nodes a and nb = Hashtbl.find nodes b in
         if classes_may_overlap model na.preg.Mir.p_cls nb.preg.Mir.p_cls then begin
           na.adj <- IntSet.add b na.adj;
           nb.adj <- IntSet.add a nb.adj
         end
-    | Liveness.Kp a, Liveness.Kh (c, i) | Liveness.Kh (c, i), Liveness.Kp a ->
-        let n = Hashtbl.find nodes a in
-        let r = { Model.cls = c; idx = i } in
-        if
-          classes_may_overlap model n.preg.Mir.p_cls c
-          && not (List.exists (Model.reg_equal r) n.forbidden)
-        then n.forbidden <- r :: n.forbidden
-    | Liveness.Kp _, Liveness.Kp _ | Liveness.Kh _, Liveness.Kh _ -> ()
+      end
+    end
+    else if a >= 0 then forbid a k2
+    else if b >= 0 then forbid b k1
+  in
+  let cost weight pos (i : Mir.inst) =
+    match Mir.operand_reg i.Mir.n_ops.(pos) with
+    | Some (`Preg p) ->
+        let n = Hashtbl.find nodes p.Mir.p_id in
+        n.cost <- n.cost +. weight
+    | Some (`Phys _) | None -> ()
   in
   List.iter
     (fun (b : Mir.block) ->
       let d = try Hashtbl.find depth b.Mir.b_label with Not_found -> 0 in
       let weight = 10.0 ** float_of_int (min d 4) in
-      let live_set =
-        ref
-          (try Hashtbl.find live.Liveness.live_out b.Mir.b_label
-           with Not_found -> Liveness.KeySet.empty)
-      in
+      let cur = Liveness.live_out live b.Mir.b_label in
       List.iter
         (fun (i : Mir.inst) ->
-          let defs = Liveness.inst_defs i in
-          let uses = Liveness.inst_uses i in
-          (* account spill costs *)
-          List.iter
+          (* spill costs: one weight per operand naming the pseudo *)
+          List.iter (fun pos -> cost weight pos i) i.Mir.n_op.Model.i_writes;
+          List.iter (fun pos -> cost weight pos i) i.Mir.n_op.Model.i_reads;
+          let defs = ref [] in
+          Liveness.iter_defs live
             (fun k ->
-              match k with
-              | Liveness.Kp id ->
-                  let n = Hashtbl.find nodes id in
-                  n.cost <- n.cost +. weight
-              | Liveness.Kh _ -> ())
-            (defs @ uses);
-          let live_for_edges =
-            match move_regs i with
-            | Some (_, s) ->
-                Liveness.KeySet.remove (Liveness.key_of_reg s) !live_set
-            | None -> !live_set
-          in
+              let p = Liveness.pseudo live k in
+              let seen d = Liveness.pseudo live d = p in
+              if p < 0 || not (List.exists seen !defs) then defs := k :: !defs)
+            i;
+          (* a move's source does not interfere with its destination *)
+          let src = ref [] in
+          (match move_regs i with
+          | Some (_, `Preg q) ->
+              Liveness.iter_operand live (fun k -> src := k :: !src) (Mir.Opreg q)
+          | Some (_, `Phys r) ->
+              Liveness.iter_operand live (fun k -> src := k :: !src) (Mir.Ophys r)
+          | None -> ());
           List.iter
             (fun d ->
-              Liveness.KeySet.iter (fun l -> if l <> d then add_edge d l) live_for_edges;
+              let prev = ref (-1) in
+              Bitset.iter
+                (fun l ->
+                  let p = Liveness.pseudo live l in
+                  if (p < 0 || p <> !prev) && l <> d && not (List.mem l !src) then
+                    add_edge d l;
+                  prev := p)
+                cur;
               (* simultaneous defs interfere *)
-              List.iter (fun d2 -> if d2 <> d then add_edge d d2) defs)
-            defs;
-          live_set :=
-            Liveness.KeySet.union
-              (List.fold_left
-                 (fun acc d -> Liveness.KeySet.remove d acc)
-                 !live_set defs)
-              (Liveness.KeySet.of_list uses))
+              List.iter (fun d2 -> if d2 <> d then add_edge d d2) !defs)
+            !defs;
+          Liveness.step live i cur)
         (List.rev b.Mir.b_insts))
     fn.Mir.f_blocks
 
 (* ------------------------------------------------------------------ *)
 (* Coloring                                                            *)
 (* ------------------------------------------------------------------ *)
-
-let available_regs model max_local cls =
-  let all = Model.allocable_of_class model cls in
-  match max_local with
-  | None -> all
-  | Some k -> List.filteri (fun i _ -> i < k) all
 
 let color_order model regs =
   (* prefer caller-save registers so we do not pay save/restore *)
@@ -143,7 +178,7 @@ let color_order model regs =
    with the lowest [p_id], or, when there is none, the first node in [p_id]
    order of least [cost / (degree + 1)] (the spill candidates are sorted
    once, stably); the removed nodes then color in reverse order. *)
-let try_color model max_local nodes =
+let try_color model nodes =
   let order =
     Hashtbl.fold (fun _ n acc -> n :: acc) nodes []
     |> List.sort (fun a b -> compare a.preg.Mir.p_id b.preg.Mir.p_id)
@@ -158,7 +193,7 @@ let try_color model max_local nodes =
     match Hashtbl.find_opt class_regs cls with
     | Some r -> r
     | None ->
-        let regs = available_regs model max_local cls in
+        let regs = Model.allocable_of_class model cls in
         let r = (List.length regs, color_order model regs) in
         Hashtbl.replace class_regs cls r;
         r
@@ -317,23 +352,24 @@ let insert_spills (fn : Mir.func) (spills : node list) fresh_no_spill =
                     (fun pos -> operand_mentions pid !ops.(pos))
                     i.Mir.n_op.Model.i_reads
                 in
-                let partial_write =
-                  (* writing through a half-register part leaves the other
-                     half meaningful: reload it before the instruction *)
-                  List.exists
-                    (fun pos ->
-                      match !ops.(pos) with
-                      | Mir.Opart (inner, _) -> operand_mentions pid inner
-                      | _ -> false)
-                    i.Mir.n_op.Model.i_writes
-                in
-                let reads = reads || partial_write in
                 let writes =
-                  List.exists
+                  List.filter
                     (fun pos -> operand_mentions pid !ops.(pos))
                     i.Mir.n_op.Model.i_writes
                 in
-                if reads || writes then begin
+                (* a write through a half-register part stores just that
+                   half: the other half stays in the slot, so the value
+                   needs no reload *)
+                let halves =
+                  List.filter_map
+                    (fun pos ->
+                      match (!ops.(pos), i.Mir.n_op.Model.i_opnds.(pos)) with
+                      | Mir.Opart (Mir.Opreg _, k), Model.Kreg c -> Some (k, c)
+                      | _ -> None)
+                    writes
+                in
+                let whole = List.length halves < List.length writes in
+                if reads || writes <> [] then begin
                   let u = List.find (fun u -> u.preg.Mir.p_id = pid) spills in
                   let q = Mir.fresh_preg fn u.preg.Mir.p_cls in
                   fresh_no_spill q;
@@ -345,13 +381,24 @@ let insert_spills (fn : Mir.func) (spills : node list) fresh_no_spill =
                         ~off:(Mir.Oslot (slot, 0))
                       :: !pre
                   end;
-                  if writes then begin
+                  if whole then begin
                     let st = Frame.find_store_ri model u.preg.Mir.p_cls in
                     post :=
                       Frame.store_at fn st ~base:fp ~off:(Mir.Oslot (slot, 0))
                         ~value:(Mir.Opreg q)
                       :: !post
                   end
+                  else
+                    List.iter
+                      (fun (k, c) ->
+                        let st = Frame.find_store_ri model c in
+                        let off = k * (Model.class_exn model c).Model.c_size in
+                        post :=
+                          Frame.store_at fn st ~base:fp
+                            ~off:(Mir.Oslot (slot, off))
+                            ~value:(Mir.Opart (Mir.Opreg q, k))
+                          :: !post)
+                      halves
                 end)
               slot_of;
             List.rev !pre @ [ { i with Mir.n_ops = !ops } ] @ List.rev !post)
@@ -433,7 +480,7 @@ let rewrite_colors (fn : Mir.func) nodes =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let allocate ?(forbid_global_pregs = false) ?max_local (fn : Mir.func) : stats =
+let allocate ?(forbid_global_pregs = false) (fn : Mir.func) : stats =
   let no_spill = ref IntSet.empty in
   let total_spilled = ref 0 in
   fn.Mir.f_locations <- [];
@@ -454,7 +501,7 @@ let allocate ?(forbid_global_pregs = false) ?max_local (fn : Mir.func) : stats =
         fn.Mir.f_name;
     let nodes = collect_pregs fn !no_spill in
     build_graph fn nodes;
-    match try_color fn.Mir.f_model max_local nodes with
+    match try_color fn.Mir.f_model nodes with
     | [] ->
         (* self-check: every interference edge must end up with
            non-overlapping registers, and precolored conflicts must be

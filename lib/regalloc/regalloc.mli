@@ -2,7 +2,7 @@
     Briggs et al. (paper 2.2).
 
     Nodes are pseudo-registers; edges are interferences computed from
-    liveness over the instruction order presented by the strategy.
+    {!Liveness} over the instruction order presented by the strategy.
     Register pairs (%equiv) interfere through byte overlap, and precolored
     physical registers (CWVM argument/result registers, call clobbers)
     constrain the colors a pseudo-register may take. Coloring is
@@ -24,7 +24,7 @@ type stats = {
   spilled : int;  (** pseudo-registers sent to memory *)
 }
 
-val allocate : ?forbid_global_pregs:bool -> ?max_local:int -> Mir.func -> stats
+val allocate : ?forbid_global_pregs:bool -> Mir.func -> stats
 (** Allocate and rewrite the function in place: pseudo-registers become
     physical registers, [Opart]s resolve to subregisters, identity moves
     disappear and [Mir.f_saved] receives the callee-save registers used.
@@ -35,7 +35,8 @@ val allocate : ?forbid_global_pregs:bool -> ?max_local:int -> Mir.func -> stats
 
     [forbid_global_pregs] spills every cross-block pseudo-register up
     front — the local-only baseline strategy ("Naive", standing in for the
-    paper's [cc -O1] comparison point).
+    paper's [cc -O1] comparison point). *)
 
-    [max_local] caps the number of allocable registers per class (used by
-    RASE to enforce per-block schedule/register trade-offs). *)
+val loop_depth : Mir.func -> (string, int) Hashtbl.t
+(** Approximate loop nesting depth per block, from layout-order back
+    edges; used to weight spill costs. *)

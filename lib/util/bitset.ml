@@ -117,9 +117,15 @@ let popcount w =
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
 let iter f t =
-  for i = 0 to t.cap - 1 do
-    if mem t i then f i
-  done
+  Array.iteri
+    (fun w word ->
+      let word = ref word and i = ref (w * bits_per_word) in
+      while !word <> 0 do
+        if !word land 1 <> 0 then f !i;
+        word := !word lsr 1;
+        incr i
+      done)
+    t.words
 
 let of_list cap l =
   let t = create cap in

@@ -214,7 +214,23 @@ let test_seeded_a001 () =
     (codes
        ~options:
          { only_glive with Mircheck.global_dataflow = false }
-       Diag.Post_select fn)
+       Diag.Post_select fn);
+  (* a double assigned as two half-moves (how every target copies one)
+     and then read: each half is written before the read, so nothing is
+     live into the entry. With half 0 alone written, half 1 still is. *)
+  let d = Mir.fresh_preg fn (Option.get (Model.find_class m "d")).Model.c_id in
+  let movs = Option.get (Model.instr_by_tag m "s.movs") in
+  let half k =
+    Mir.mk_inst fn movs [| Mir.Opart (Mir.Opreg d, k); rreg m (1 + k); rreg m 0 |]
+  in
+  let dreg = Mir.Ophys { Model.cls = d.Mir.p_cls; idx = 1 } in
+  let use = Mir.mk_inst fn (instr m "fadd.d") [| dreg; Mir.Opreg d; Mir.Opreg d |] in
+  blk.Mir.b_insts <- [ half 0; half 1; use ];
+  check (Alcotest.list Alcotest.string) "double written by halves" []
+    (codes Diag.Post_select fn);
+  blk.Mir.b_insts <- [ half 0; use ];
+  check (Alcotest.list Alcotest.string) "double missing half 1" [ "A001" ]
+    (codes Diag.Post_select fn)
 
 let test_seeded_a002 () =
   (* a pseudo assigned and never read: the defining add is a dead store *)
@@ -240,6 +256,28 @@ let test_seeded_a002 () =
   check (Alcotest.list Alcotest.string) "stores are effects" []
     (codes Diag.Post_select fn)
 
+(* every variable of the Livermore kernels is initialized before use, so
+   the liveness behind A001 must find nothing live into any entry *)
+let test_livermore_no_a001 () =
+  List.iter
+    (fun model ->
+      for k = 1 to 14 do
+        let file = Printf.sprintf "lfk%d" k in
+        match Select.select_prog model (Cgen.compile ~file (Livermore.source k)) with
+        | exception Select.No_pattern _ -> ()
+        | prog ->
+            List.iter
+              (fun fn ->
+                List.iter
+                  (fun (d : Diag.t) ->
+                    if d.Diag.code = "A001" then
+                      Alcotest.failf "%s on %s: %s" file model.Model.name
+                        (Diag.to_string d))
+                  (Mircheck.check_func Diag.Post_select fn))
+              prog.Mir.p_funcs
+      done)
+    (Lazy.force models)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_pruning_sound;
@@ -249,4 +287,6 @@ let suite =
     Alcotest.test_case "seeded A001 (maybe-uninitialized)" `Quick
       test_seeded_a001;
     Alcotest.test_case "seeded A002 (dead store)" `Quick test_seeded_a002;
+    Alcotest.test_case "no A001 on the Livermore kernels" `Quick
+      test_livermore_no_a001;
   ]

@@ -338,6 +338,50 @@ let test_mutation_use_before_def () =
   check (Alcotest.list Alcotest.string) "def-use off" []
     (codes_at ~options Diag.Post_select prog)
 
+let test_duplicate_label_m031 () =
+  (* two blocks share the label L (M011). The label is one node of the
+     definitely-assigned flow: its successors are those of both blocks,
+     the last block's definitions flow out of it, and both blocks are
+     checked against what flows in. So b, defined only by the first L,
+     is unassigned in the second L and in both successors. *)
+  let m = Lazy.force r2000 in
+  let add = List.hd (Model.instrs_by_name m "addu") in
+  let cls =
+    match add.Model.i_opnds.(0) with
+    | Model.Kreg c -> c
+    | _ -> Alcotest.fail "addu operand 0 is not a register class"
+  in
+  let fn = Mir.new_func m "f" in
+  let sp = Mir.Ophys m.Model.cwvm.Model.v_sp in
+  let a = Mir.fresh_preg fn cls in
+  let b = Mir.fresh_preg fn cls in
+  let c = Mir.fresh_preg fn cls in
+  let block label succs insts =
+    let blk = Mir.new_block label in
+    blk.Mir.b_insts <- insts;
+    blk.Mir.b_succs <- succs;
+    blk
+  in
+  let addu d x y = Mir.mk_inst fn add [| Mir.Opreg d; x; y |] in
+  let p x = Mir.Opreg x in
+  fn.Mir.f_blocks <-
+    [
+      block "entry" [ "L" ] [ addu a sp sp ];
+      block "L" [ "Y" ] [ addu b (p a) (p a) ];
+      block "L" [ "X" ] [ addu c (p b) (p a) ];
+      block "Y" [] [ addu a (p c) (p b) ];
+      block "X" [] [ addu a (p c) (p b) ];
+    ];
+  let options = { Mircheck.default_options with Mircheck.global_dataflow = false } in
+  check
+    (Alcotest.list Alcotest.string)
+    "M011 and M031 sites"
+    [ "M011@L"; "M031@L"; "M031@Y"; "M031@X" ]
+    (List.map
+       (fun (d : Diag.t) ->
+         d.Diag.code ^ "@" ^ Option.value ~default:"-" d.Diag.block)
+       (Mircheck.check_func ~options Diag.Post_select fn))
+
 let test_mutation_broken_cfg () =
   (* point a successor edge at a label that does not exist: M012 *)
   let prog = compile_quiet Strategy.Postpass clean_src in
@@ -466,4 +510,6 @@ let suite =
       test_mutation_use_before_def;
     Alcotest.test_case "mutation: broken cfg" `Quick
       test_mutation_broken_cfg;
+    Alcotest.test_case "M031 with a duplicate label" `Quick
+      test_duplicate_label_m031;
   ]
