@@ -275,15 +275,15 @@ let result_blob model strat =
 
 let result_goldens =
   [
-    (("toyp", "postpass"), "0ace9580f4e5feee635b2e1a0d5e11f4");
-    (("toyp", "ips"), "077d6ed2214133759d01245b32b4247e");
-    (("toyp", "rase"), "5f792f90b109388dfe30af4088eb8f62");
-    (("r2000", "postpass"), "c844a0a92e08856abb3a91ec74436efe");
-    (("r2000", "ips"), "4c0149fb2a6b4080dd61fe974965d94d");
-    (("r2000", "rase"), "cc72230c5987b5dba4a606032f7cbdd9");
-    (("m88000", "postpass"), "00efcba35e20b3985790476163ad2a41");
-    (("m88000", "ips"), "effebc3b6ec47d91e893043e9ed62d2a");
-    (("m88000", "rase"), "bd3f5ccdb4e3fead125dd0540c08d4cf");
+    (("toyp", "postpass"), "ae0d51e9b0dbb11ccd9dfccd1db3f184");
+    (("toyp", "ips"), "d4df95cf84f5885cdc1ea3e5d6f655dd");
+    (("toyp", "rase"), "0fe966adc2c472e028ebe36da76c73d2");
+    (("r2000", "postpass"), "80e9e4aa455818b310ba07eb3b18fcc5");
+    (("r2000", "ips"), "88562e7875496384d7fd18ce0a7fb367");
+    (("r2000", "rase"), "f0ce47e5ee163924e8eba912ec168d8a");
+    (("m88000", "postpass"), "79b31cee86602e84cef100531803d97e");
+    (("m88000", "ips"), "6a4d378875ba6fc62f94efb3cca63d2a");
+    (("m88000", "rase"), "75358c7c107e46dabe12e1286a557ed7");
     (("i860", "postpass"), "c679e101ea0f6331c376ef4efe98bb4d");
     (("i860", "ips"), "c71f5a941260f99a5708681eb494f97c");
     (("i860", "rase"), "f31f0f840eba8d2c79bb0fc0521118e8");

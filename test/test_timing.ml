@@ -95,18 +95,18 @@ let cell_digest ~jobs model strat =
 
 let goldens =
   [
-    (("toyp", "naive"), "3423614287229df2dc24ba9b9786641f");
-    (("toyp", "postpass"), "b4319e39ebe0cc889f421543f086b8ea");
-    (("toyp", "ips"), "9f28f901ec5086a4f78dae507a7fdeec");
-    (("toyp", "rase"), "d34bed1aa15dcea7d60b85c052d6df8e");
-    (("r2000", "naive"), "4889300946c7beb0b599d9bc8cb2295a");
-    (("r2000", "postpass"), "7bc0edc6b0ee2ba912a20f6782503d86");
-    (("r2000", "ips"), "18d483483ad20381cf76801471968727");
-    (("r2000", "rase"), "0416f73c4f52b200672ca9ab5c8c1326");
-    (("m88000", "naive"), "eb086a968d1ca0ffbbc5870eab546ce5");
-    (("m88000", "postpass"), "dba6ec718491b5965dc810ce996421dd");
-    (("m88000", "ips"), "5e980f473ad378e3082c587323770773");
-    (("m88000", "rase"), "0412a0f441c365817854832f4cb82e03");
+    (("toyp", "naive"), "8a7d350a1d631e4f7df1804c9967639e");
+    (("toyp", "postpass"), "58cefe4f2d5ec7ee9f217fc10aa6763c");
+    (("toyp", "ips"), "05bbb58e91197df304892373d036324e");
+    (("toyp", "rase"), "5c9452368a86e82f8dc8f2a13d386928");
+    (("r2000", "naive"), "1f502a79b39af9bb873cca94abc6bb76");
+    (("r2000", "postpass"), "add5f8acf3c53056be476d27c5c35b0f");
+    (("r2000", "ips"), "104baef63b4256b4b67c697d9da11314");
+    (("r2000", "rase"), "25d38cfcb67b4f4bb4a57386065fd394");
+    (("m88000", "naive"), "ac9b68dbbc2cc991b5b3d643b8c37de5");
+    (("m88000", "postpass"), "ed2e8da779b5c0e72ec59ce9fbeb3fcc");
+    (("m88000", "ips"), "3e70bca60157b01c63b1219162732a25");
+    (("m88000", "rase"), "0e01f3542ed1de4e5c4c2c46c50a00bf");
     (("i860", "naive"), "e495ab8099784bde49d3e1f8926f467e");
     (("i860", "postpass"), "b40c3a8905f1ef8dbd865d9fe64b2933");
     (("i860", "ips"), "6b29d30eb379e035dc2c14d1b1b13f57");
