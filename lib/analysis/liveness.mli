@@ -20,11 +20,9 @@ type t
 
 val compute : Mir.func -> t
 
-val live_in : t -> string -> Bitset.t
-(** A fresh copy of the keys live at the block's entry (empty for a
-    label that names no block). *)
-
 val live_out : t -> string -> Bitset.t
+(** A fresh copy of the keys live at the block's exit (empty for a
+    label that names no block). *)
 
 val step : t -> Mir.inst -> Bitset.t -> unit
 (** [step t i live] turns the keys live after [i] into those live before
